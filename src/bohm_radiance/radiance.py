@@ -264,20 +264,6 @@ class RadiatedEnergy:
     per_valley_j: dict[int, float]
 
 
-def valley_index_at(exp: SlitExperiment, consts: PhysicalConstants,
-                    y, t) -> np.ndarray:
-    """Valley band containing |y| at time t, counted from the axis.
-
-    In the scaled fringe coordinate eta = |y| xi(t) / pi the k-th trough
-    sits at eta = 2k - 1 between the flanking crests at 2k - 2 and 2k, so
-    band k covers eta in [2k-2, 2k).  Before fringes develop (xi -> 0)
-    everything maps to band 1.
-    """
-    xi = interference_wavenumber(exp, consts, t)
-    eta = np.abs(np.asarray(y, dtype=float)) * xi / math.pi
-    return (np.floor(eta / 2.0).astype(int) + 1).astype(int)
-
-
 def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
                                exp: SlitExperiment | None = None
                                ) -> RadiatedEnergy:
@@ -286,7 +272,10 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
     Integrates P(t) = (4/3)(alpha hbar/c^2) a(t)^2 over the recorded
     samples by the trapezoid rule.  When the experiment is supplied, the
     integral is also split into per-valley partial sums keyed by the
-    valley band of the instantaneous position (valley_index_at).
+    valley band of the instantaneous position: in the scaled fringe
+    coordinate eta = |y| xi(t) / pi the k-th trough sits at eta = 2k - 1
+    between crests at 2k - 2 and 2k, so band k covers eta in [2k-2, 2k);
+    before fringes develop (xi -> 0) everything maps to band 1.
     """
     if not traj.valid:
         raise NumericalError(

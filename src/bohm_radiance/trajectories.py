@@ -20,9 +20,12 @@ drifts inside the node floor, integration halts and returns the partial
 path with a diagnostic instead of regularizing through the singularity.
 
 Ensembles are sampled from |psi(y, 0)|^2 by inverse-CDF lookup on a dense
-grid (deterministic for a fixed seed) and integrated as one vectorized ODE
-system; equivariance is quantified by the Kolmogorov-Smirnov distance
-between the final empirical distribution and |psi(y, t_end)|^2.
+grid (deterministic for a fixed seed) and transported by a vectorized
+Dormand-Prince 5(4) stepper in which every lane (trajectory) keeps its own
+time, step size and error norm, so a lane crossing a valley wall does not
+shrink the steps of the others.  A lane whose step collapses fails alone
+and comes back NaN.  Equivariance is quantified by the Kolmogorov-Smirnov
+distance between the final empirical distribution and |psi(y, t_end)|^2.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
 
 from .errors import ConfigError, NumericalError
 from .units import PhysicalConstants
@@ -46,29 +49,32 @@ DEFAULT_TOL = 1.0e-9
 CDF_GRID_POINTS = 2 ** 16
 # Half-range of sampling/comparison grids, in packet widths beyond the slit.
 GRID_PADDING_SIGMAS = 10.0
+# Step-size control of transport, as scipy's RK45 applies it to one path.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
 
 
-def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
-                   y, t: float):
-    """Guidance velocity (1/m) dS/dy in cm/s; NaN below the node floor."""
-    p, d1 = _psi_derivs(exp, consts, y, t, order=1)
-    a2 = (p * p.conjugate()).real
-    v = (consts.hbar_ev_s / consts.electron_mass) \
-        * (p.conjugate() * d1).imag / a2
-    floor2 = r_floor(exp, consts, t) ** 2
-    v = np.where(a2 > floor2, v, np.nan)
-    return float(v) if np.ndim(y) == 0 else v
+def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """Guidance velocity (hbar/m) Im(psi* psi') / |psi|^2 in cm/s, unmasked.
 
-
-def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t: float):
-    """velocity_field without the node mask, for use inside the integrator
-    (the node event handles the singular region; amplitude underflow far in
-    the tails yields NaN, which the callers account for)."""
+    Used inside the integrators: the node event or the per-lane step
+    control handles the singular region, and amplitude underflow far in
+    the tails yields NaN, which the callers account for.
+    """
     p, d1 = _psi_derivs(exp, consts, y, t, order=1)
     a2 = (p * p.conjugate()).real
     with np.errstate(invalid="ignore", divide="ignore"):
         return (consts.hbar_ev_s / consts.electron_mass) \
             * (p.conjugate() * d1).imag / a2
+
+
+def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
+                   y, t: float):
+    """Guidance velocity (1/m) dS/dy in cm/s; NaN below the node floor."""
+    v = np.where(node_margin(exp, consts, y, t) > 0.0,
+                 _velocity_raw(exp, consts, y, t), np.nan)
+    return float(v) if np.ndim(y) == 0 else v
 
 
 def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
@@ -229,29 +235,126 @@ def ks_statistic_against_density(exp: SlitExperiment,
     return float(max(upper, lower))
 
 
+def _lane_sum(coeffs, k):
+    """sum_j coeffs[j] k[j], elementwise, skipping zero coefficients.
+
+    Unlike a BLAS product, each lane's value depends on that lane alone,
+    so a lane's path does not change with the other lanes of the call.
+    """
+    return sum(c * kj for c, kj in zip(coeffs, k) if c != 0.0)
+
+
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+    """scipy's ``select_initial_step`` from t = 0, one value per lane."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = np.abs(y0 / scale)
+    d1 = np.abs(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end)
+        f1 = rhs(h0, y0 + h0 * f0)
+        d2 = np.abs((f1 - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2))
+                      ** (1.0 / (RK45.error_estimator_order + 1)))
+    return np.minimum(np.minimum(100.0 * h0, h1), t_end)
+
+
 def transport(exp: SlitExperiment, consts: PhysicalConstants,
               y0: np.ndarray, t_end: float, tol: float = DEFAULT_TOL,
               t_eval: np.ndarray | None = None) -> np.ndarray:
-    """Integrate many trajectories as one vectorized system.
+    """Integrate many trajectories, each lane with its own step size.
 
-    Returns positions of shape (len(y0), len(t_eval)); t_eval defaults to
-    the single point t_end.  Order follows y0, so results are
-    deterministic and independent of internal stepping.
+    A vectorized Dormand-Prince 5(4) stepper (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. II.4) gives every lane its own time, step and
+    error norm, under scipy's RK45 tableau and step-size controller, so
+    rtol = ``tol`` and atol = ``tol`` * packet width mean what they mean
+    for one path.  A lane that reaches t_end leaves the active set.  A
+    lane whose step falls below 10 ulp of its time (e.g. amplitude
+    underflow far in the tails) fails alone: its row is NaN.
+
+    Returns positions of shape (len(y0), len(t_eval)), filled from each
+    lane's dense output; t_eval defaults to the single point t_end.
+    Order follows y0, and a lane's row does not depend on the other
+    lanes, so results replay bitwise.
     """
     if t_end <= 0.0:
         raise ConfigError("t_end must be positive")
-    if t_eval is None:
-        t_eval = np.array([t_end])
+    t_eval = np.array([t_end]) if t_eval is None \
+        else np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0.0) \
+            or np.any((t_eval < 0.0) | (t_eval > t_end)):
+        raise ConfigError("t_eval must be sorted and within [0, t_end]")
+    y = np.array(y0, dtype=float)
+    out = np.full((len(y), len(t_eval)), np.nan)
+    rtol, atol = tol, tol * exp.packet_width_cm
 
     def rhs(t, y):
         return _velocity_raw(exp, consts, y, t)
 
-    sol = solve_ivp(rhs, (0.0, t_end), np.asarray(y0, dtype=float),
-                    method="RK45", t_eval=t_eval, rtol=tol,
-                    atol=tol * exp.packet_width_cm)
-    if sol.status < 0:
-        raise NumericalError(f"ensemble integration failed: {sol.message}")
-    return sol.y
+    a, b, c, e, p = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
+    exponent = -1.0 / (RK45.error_estimator_order + 1)
+    lane = np.arange(len(y))
+    t = np.zeros(len(y))
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+    rejected = np.zeros(len(y), dtype=bool)
+    filled = np.zeros(len(y), dtype=int)  # next t_eval index per lane
+    while True:
+        # a new step starts at no less than 10 ulp of t; a lane whose
+        # rejected step shrank below that (or is NaN) fails
+        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        alive = h_abs >= min_step
+        out[lane[~alive]] = np.nan
+        running = alive & (t < t_end)
+        lane, t, y, f, h_abs, rejected, filled = (
+            v[running] for v in (lane, t, y, f, h_abs, rejected, filled))
+        if not lane.size:
+            return out
+
+        t_new = np.minimum(t + h_abs, t_end)
+        h = t_new - t
+        k = [f]
+        for s in range(1, len(c)):
+            k.append(rhs(t + c[s] * h, y + _lane_sum(a[s, :s], k) * h))
+        y_new = y + h * _lane_sum(b, k)
+        k.append(rhs(t_new, y_new))
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err = np.abs(_lane_sum(e, k) * h / scale)
+        accept = err < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = SAFETY * err ** exponent  # inf at err == 0
+        # a non-finite error norm is a reject at the smallest factor, and
+        # a step accepted after a reject may not grow
+        factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
+                          np.fmax(MIN_FACTOR, factor))
+        factor = np.where(accept & rejected, np.minimum(1.0, factor), factor)
+        h_abs = h * factor
+
+        # t_eval points in (t, t_new] from this step's interpolant
+        stop = np.searchsorted(t_eval, t_new, side="right")
+        dense = np.flatnonzero(accept & (stop > filled))
+        if dense.size:
+            counts = stop[dense] - filled[dense]
+            at = np.repeat(np.arange(dense.size), counts)
+            cols = filled[dense][at] + np.arange(counts.sum()) \
+                - (np.cumsum(counts) - counts)[at]
+            rows = dense[at]
+            x = (t_eval[cols] - t[rows]) / h[rows]
+            # y + h sum_m Q_m x^(m+1) with Q = K^T P, by Horner's rule
+            kd = [kj[dense] for kj in k]
+            poly = 0.0
+            for m in reversed(range(p.shape[1])):
+                poly = (poly + _lane_sum(p[:, m], kd)[at]) * x
+            out[lane[rows], cols] = h[rows] * poly + y[rows]
+            filled[dense] = stop[dense]
+
+        t = np.where(accept, t_new, t)
+        y = np.where(accept, y_new, y)
+        f = np.where(accept, k[-1], f)
+        rejected = ~accept
 
 
 def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,
@@ -259,9 +362,10 @@ def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,
                  tol: float = DEFAULT_TOL) -> EnsembleResult:
     """Transport a |psi|^2 ensemble to t_end and test equivariance.
 
-    All trajectories are integrated as one vectorized system; results are
-    indexed in draw order, so a fixed seed reproduces final positions
-    bitwise.
+    Lanes are stepped independently by ``transport``; results are indexed
+    in draw order, so a fixed seed reproduces final positions bitwise.  A
+    lane that fails to propagate comes back NaN and is counted in
+    ``n_failed``; the KS distance is taken over the finite finals.
     """
     if n < 100:
         raise ConfigError("ensemble size must be >= 100")

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
 from bohm_radiance.errors import ConfigError
@@ -108,6 +110,64 @@ def test_no_axis_crossing_sample(exp, paper):
     signs = np.sign(paths)
     assert np.all(signs == np.sign(y0)[:, None])
     assert np.min(np.abs(paths)) > 0.0
+
+
+# Launches that cross a valley wall sharply: the two largest quantile-map
+# errors (3.9e-5 and 4.2e-6 fringes at the screen) among 1,000 draws from
+# |psi(., 0)|^2 with seed 3.
+WALL_CROSSING_LAUNCHES_CM = (5.403068233149945e-05, 4.923331841788303e-05)
+
+
+def test_transport_lanes_match_single_path_rk45(exp, paper):
+    # each lane must follow its own one-path RK45 solve at the same
+    # rtol/atol, not a step size shared with the other lanes
+    t_end = exp.time_of_flight_s
+    y0 = np.concatenate([WALL_CROSSING_LAUNCHES_CM,
+                         tr.sample_initial_positions(exp, paper, 6, seed=8)])
+    finals = tr.transport(exp, paper, y0, t_end)[:, -1]
+    fringe = wf.fringe_spacing(exp, paper, exp.screen_distance_cm)
+    for lane, final in zip(y0, finals):
+        ref = solve_ivp(lambda t, y: tr._velocity_raw(exp, paper, y, t),
+                        (0.0, t_end), [lane], method="RK45",
+                        rtol=tr.DEFAULT_TOL,
+                        atol=tr.DEFAULT_TOL * exp.packet_width_cm)
+        assert ref.status == 0
+        assert abs(final - ref.y[0, -1]) < 1e-9 * fringe
+
+
+def test_transport_lane_independent_of_batch(exp, paper):
+    y0 = np.concatenate([WALL_CROSSING_LAUNCHES_CM,
+                         tr.sample_initial_positions(exp, paper, 98, seed=5)])
+    batch = tr.transport(exp, paper, y0, exp.time_of_flight_s)
+    for i in (0, 1, 60):
+        alone = tr.transport(exp, paper, y0[i:i + 1], exp.time_of_flight_s)
+        np.testing.assert_array_equal(alone[0], batch[i])
+
+
+def test_transport_dense_output(exp, paper):
+    t_end = exp.time_of_flight_s
+    y0 = tr.sample_initial_positions(exp, paper, 50, seed=13)
+    paths = tr.transport(exp, paper, y0, t_end,
+                         t_eval=np.linspace(0.0, t_end, 256))
+    assert paths.shape == (50, 256)
+    np.testing.assert_array_equal(paths[:, 0], y0)
+    np.testing.assert_array_equal(paths[:, -1],
+                                  tr.transport(exp, paper, y0, t_end)[:, 0])
+    with pytest.raises(ConfigError, match="t_eval"):
+        tr.transport(exp, paper, y0, t_end, t_eval=[0.0, 2.0 * t_end])
+
+
+def test_transport_failed_lane_is_nan_alone(exp, paper):
+    # far in the tail |psi| underflows and the velocity is NaN from the
+    # start: that lane fails by itself, without a warning or an exception
+    t_end = exp.time_of_flight_s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finals = tr.transport(exp, paper, [5e-5, 1e-2], t_end)[:, -1]
+    assert np.isnan(finals[1])
+    assert np.isfinite(finals[0])
+    np.testing.assert_array_equal(
+        finals[:1], tr.transport(exp, paper, [5e-5], t_end)[:, -1])
 
 
 def test_dvdt_matches_field_acceleration(exp, paper):
