@@ -10,15 +10,13 @@ spectra, current scaling, and detectability estimates.
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, DomainError, NumericalError, UnitError
-from .units import PhysicalConstants, Quantity, constants, convert
+from .errors import ConfigError, DomainError, NumericalError
+from .units import PhysicalConstants, constants
 from .wavefield import (
-    FieldSample,
     SlitExperiment,
     Valley,
     amplitude_phase,
     cross_section_scan,
-    field_sample,
     grad_quantum_potential,
     jonsson_experiment,
     make_experiment,
@@ -60,11 +58,11 @@ from .presets import (
 
 __all__ = [
     "__version__",
-    "ConfigError", "DomainError", "NumericalError", "UnitError",
-    "PhysicalConstants", "Quantity", "constants", "convert",
-    "FieldSample", "SlitExperiment", "Valley", "amplitude_phase",
-    "cross_section_scan", "field_sample", "grad_quantum_potential",
-    "jonsson_experiment", "make_experiment", "psi", "quantum_potential",
+    "ConfigError", "DomainError", "NumericalError",
+    "PhysicalConstants", "constants",
+    "SlitExperiment", "Valley", "amplitude_phase", "cross_section_scan",
+    "grad_quantum_potential", "jonsson_experiment", "make_experiment",
+    "psi", "quantum_potential",
     "EnsembleResult", "Trajectory", "bohmian_acceleration",
     "integrate_trajectory", "run_ensemble", "velocity_field",
     "OverlapInput", "SpectrumStep", "ValleyInput", "angular_factor",

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError, NumericalError, UnitError
+from .errors import ConfigError, NumericalError
 from .runner import SUBCOMMANDS, run
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, _overrides(args))
         manifest = run(args.subcommand, cfg)
-    except (ConfigError, UnitError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 import jsonschema
 
 from .errors import ConfigError
+from .presets import PAPER_VALLEY_INPUTS
 from .radiance import ValleyInput
 from .units import PhysicalConstants, constants
 from .wavefield import JONSSON_DEFAULTS, SlitExperiment, make_experiment
@@ -35,14 +37,9 @@ DEFAULT_CONFIG: dict = {
         "cross_section_x_cm": JONSSON_DEFAULTS["cross_section_x_cm"],
     },
     "valleys": [
-        {"index": 1, "grad_q_ev_per_cm": 9.66, "tau_s": 2.8e-11,
-         "v0_cm_per_s": 1.5e4},
-        {"index": 2, "grad_q_ev_per_cm": 3.06, "tau_s": 7.01e-11,
-         "v0_cm_per_s": 1.5e4},
-        {"index": 3, "grad_q_ev_per_cm": 0.93, "tau_s": 1.02e-10,
-         "v0_cm_per_s": 1.5e4},
-        {"index": 4, "grad_q_ev_per_cm": 0.8, "tau_s": 1.09e-10,
-         "v0_cm_per_s": 1.5e4},
+        {"index": v.index, "grad_q_ev_per_cm": v.grad_q_ev_per_cm,
+         "tau_s": v.tau_s, "v0_cm_per_s": v.v0_cm_s}
+        for v in PAPER_VALLEY_INPUTS
     ],
     "ensemble": {"n": 1000, "seed": 20210905, "t_end_s": None},
     "scan": {"y_half_range_cm": 8.0e-4, "n_samples": 16385},
@@ -118,6 +115,18 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _non_finite(node, path: str = "$"):
+    """JSON paths of the NaN and infinite floats in a config tree."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_finite(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _non_finite(value, f"{path}[{i}]")
+
+
 def _build_valley(raw: dict, position: int) -> ValleyInput:
     try:
         return ValleyInput(
@@ -158,6 +167,11 @@ def load_config(path: str | Path | None = None,
     merged = _deep_merge(DEFAULT_CONFIG, user)
     if overrides:
         merged = _deep_merge(merged, overrides)
+    # JSON and argparse both accept NaN and Infinity, and schema bounds
+    # let NaN through
+    bad = next(_non_finite(merged), None)
+    if bad is not None:
+        raise ConfigError(f"config value at {bad} is not a finite number")
 
     schema = config_schema()
     validator = jsonschema.Draft202012Validator(schema)

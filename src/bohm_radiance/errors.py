@@ -9,10 +9,6 @@ class ConfigError(ValueError):
     """Bad configuration: unknown preset, schema violation, physical invariant."""
 
 
-class UnitError(ValueError):
-    """Arithmetic or conversion across incompatible unit tags."""
-
-
 class NumericalError(RuntimeError):
     """A computation could not be completed (node halt, invalid ensemble, ...)."""
 

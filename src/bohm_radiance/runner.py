@@ -112,6 +112,11 @@ class _Emitter:
                 for cell in row))
         return self.write_text(name, "\n".join(lines) + "\n")
 
+    def write_records(self, name: str, records: list[dict]) -> Path:
+        """CSV of dict rows; the header is the keys of the first row."""
+        return self.write_csv(name, list(records[0]),
+                              [list(r.values()) for r in records])
+
 
 def _doc(cfg: RunConfig, kind: str, body: dict) -> dict:
     doc = {"schema": OUTPUT_SCHEMA_ID, "kind": kind,
@@ -196,20 +201,17 @@ def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
 
 
 def _cmd_spectrum(cfg: RunConfig, em: _Emitter) -> None:
-    steps = [spectrum_step(cfg.consts, vi) for vi in _valley_inputs(cfg)]
+    steps = [spectrum_step(cfg.consts, vi).as_dict()
+             for vi in _valley_inputs(cfg)]
     em.write_json("spectrum.json", _doc(cfg, "spectrum", {
         "mode": cfg.mode,
-        "steps": [s.as_dict() for s in steps],
+        "steps": steps,
         "notes": [LAMBDA_CONVENTION_NOTE],
     }))
-    em.write_csv("spectrum.csv",
-                 ["valley", "grad_q_ev_per_cm", "tau_s", "delta_v_cm_s",
-                  "power_w", "omega_c_hz", "lambda_c_cm", "i0_ev_per_hz",
-                  "photon_energy_j", "photon_frequency_hz"],
-                 [[s.valley_index, s.grad_q_ev_per_cm, s.tau_s,
-                   s.delta_v_cm_s, s.power_w, s.omega_c_hz, s.lambda_c_cm,
-                   s.i0_ev_per_hz, s.photon_energy_j, s.photon_frequency_hz]
-                  for s in steps])
+    # the CSV leaves out the acceleration, which is grad_q / m
+    em.write_records("spectrum.csv", [
+        {k: v for k, v in step.items() if k != "acceleration_cm_s2"}
+        for step in steps])
 
 
 def _table_rows(cfg: RunConfig):
@@ -241,12 +243,7 @@ def _cmd_table1(cfg: RunConfig, em: _Emitter) -> None:
         "rows": rows,
         "notes": [LAMBDA_CONVENTION_NOTE],
     }))
-    em.write_csv("table1.csv",
-                 ["valley", "omega_c_hz", "lambda_c_cm", "i0_ev_per_hz",
-                  "p_tonomura_w", "p_jonsson_w", "flag"],
-                 [[r["valley"], r["omega_c_hz"], r["lambda_c_cm"],
-                   r["i0_ev_per_hz"], r["p_tonomura_w"], r["p_jonsson_w"],
-                   r["flag"]] for r in rows])
+    em.write_records("table1.csv", rows)
 
 
 def _cmd_detectability(cfg: RunConfig, em: _Emitter) -> None:
@@ -295,12 +292,7 @@ def _cmd_compare(cfg: RunConfig, em: _Emitter) -> None:
             "vanishes",
         ],
     }))
-    em.write_csv("compare.csv",
-                 ["valley", "copenhagen_power_w", "bdb_power_tonomura_w",
-                  "bdb_power_jonsson_w"],
-                 [[r["valley"], r["copenhagen_power_w"],
-                   r["bdb_power_tonomura_w"], r["bdb_power_jonsson_w"]]
-                  for r in rows])
+    em.write_records("compare.csv", rows)
 
 
 _HANDLERS = {

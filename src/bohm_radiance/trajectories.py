@@ -80,7 +80,7 @@ def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
 def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
                          y, t):
     """Beable acceleration -(1/m) dQ/dy in cm/s^2; NaN below the floor."""
-    gq = grad_quantum_potential(exp, consts, y, t, method="analytic")
+    gq = grad_quantum_potential(exp, consts, y, t)
     return -gq / consts.electron_mass
 
 
@@ -132,7 +132,7 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     if y0 == 0.0:
         raise ConfigError("y0 must be nonzero (the axis itself is a "
                           "stationary solution)")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise ConfigError("t_end must be positive")
     if node_margin(exp, consts, y0, 0.0) <= 0.0:
         raise ConfigError(
@@ -279,7 +279,7 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     Order follows y0, and a lane's row does not depend on the other
     lanes, so results replay bitwise.
     """
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise ConfigError("t_end must be positive")
     t_eval = np.array([t_end]) if t_eval is None \
         else np.asarray(t_eval, dtype=float)
@@ -369,7 +369,7 @@ def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,
     """
     if n < 100:
         raise ConfigError("ensemble size must be >= 100")
-    if t_end < 0.0:
+    if not t_end >= 0.0:
         raise ConfigError("t_end must be >= 0")
     y0 = sample_initial_positions(exp, consts, n, seed)
     if t_end == 0.0:

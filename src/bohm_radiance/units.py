@@ -1,4 +1,4 @@
-"""Physical constants and minimal unit-tagged quantities.
+"""Physical constants and the unit conventions of the package.
 
 Everything downstream works in CGS lengths/times with energies in eV:
 lengths in cm, times in s, speeds in cm/s, accelerations in cm/s^2,
@@ -10,9 +10,6 @@ boundary.  Two constant presets are provided:
   reference numbers in the reproduction suite were derived; they
   reproduce bit-for-bit only with this preset.
 * ``modern`` -- CODATA-2018 values.
-
-Only the handful of unit tags the artifact emits are supported; this is
-deliberately not a general units library.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, UnitError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -102,98 +99,3 @@ def constants(preset: str = "paper") -> PhysicalConstants:
         raise ConfigError(
             f"unknown constants preset {preset!r}; expected one of "
             f"{sorted(_PRESETS)}") from None
-
-
-# ---------------------------------------------------------------------------
-# Unit-tagged scalars
-
-# dimension -> {unit tag: scale to the dimension's base unit}.  The eV-based
-# tags scale with the eV->J factor of the active constant preset and are
-# patched in by _factors().
-_STATIC_TABLE: dict[str, dict[str, float]] = {
-    "energy": {"J": 1.0, "erg": 1.0e-7},
-    "power": {"W": 1.0, "erg/s": 1.0e-7},
-    "spectral_energy": {"J/Hz": 1.0},
-    "length": {"cm": 1.0, "m": 100.0, "angstrom": 1.0e-8},
-    "speed": {"cm/s": 1.0},
-    "acceleration": {"cm/s^2": 1.0},
-    "time": {"s": 1.0},
-    "frequency": {"Hz": 1.0},
-    "flux": {"W/m^2": 1.0},
-    "rate": {"e-/s": 1.0},
-    "gradient": {"eV/cm": 1.0},
-    "action": {"eV*s": 1.0},
-}
-
-
-def _factors(consts: PhysicalConstants) -> dict[str, tuple[str, float]]:
-    """unit tag -> (dimension, scale to base unit)."""
-    table: dict[str, tuple[str, float]] = {}
-    for dim, units in _STATIC_TABLE.items():
-        for tag, scale in units.items():
-            table[tag] = (dim, scale)
-    table["eV"] = ("energy", consts.ev_to_joule)
-    table["eV/s"] = ("power", consts.ev_to_joule)
-    table["eV/Hz"] = ("spectral_energy", consts.ev_to_joule)
-    return table
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A scalar with a unit tag. Mixing tags without convert() raises."""
-
-    value: float
-    unit: str
-
-    def _check_same(self, other: "Quantity") -> None:
-        if not isinstance(other, Quantity):
-            raise UnitError(f"cannot operate on Quantity and {type(other).__name__}")
-        if other.unit != self.unit:
-            raise UnitError(
-                f"unit mismatch: {self.unit!r} vs {other.unit!r}; "
-                "convert() explicitly first")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._check_same(other)
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._check_same(other)
-        return Quantity(self.value - other.value, self.unit)
-
-    def __mul__(self, scalar: float) -> "Quantity":
-        if isinstance(scalar, Quantity):
-            raise UnitError("Quantity*Quantity is not supported; work in floats")
-        return Quantity(self.value * scalar, self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "Quantity":
-        if isinstance(scalar, Quantity):
-            raise UnitError("Quantity/Quantity is not supported; work in floats")
-        return Quantity(self.value / scalar, self.unit)
-
-    def __lt__(self, other: "Quantity") -> bool:
-        self._check_same(other)
-        return self.value < other.value
-
-
-def convert(q: Quantity, target_unit: str,
-            consts: PhysicalConstants | None = None) -> Quantity:
-    """Rescale a Quantity to a dimensionally compatible unit tag.
-
-    The eV<->J factor comes from the constant preset (default: paper).
-    """
-    consts = consts if consts is not None else _PAPER
-    table = _factors(consts)
-    if q.unit not in table:
-        raise UnitError(f"unknown unit tag {q.unit!r}")
-    if target_unit not in table:
-        raise UnitError(f"unknown unit tag {target_unit!r}")
-    dim_from, scale_from = table[q.unit]
-    dim_to, scale_to = table[target_unit]
-    if dim_from != dim_to:
-        raise UnitError(
-            f"incompatible dimensions: {q.unit!r} ({dim_from}) -> "
-            f"{target_unit!r} ({dim_to})")
-    return Quantity(q.value * scale_from / scale_to, target_unit)

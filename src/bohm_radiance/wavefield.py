@@ -24,8 +24,10 @@ three complex derivatives of psi: with A = R^2 = |psi|^2,
     R''/R = A''/(2A) - A'^2/(4A^2)
     Q'    = -(hbar^2/4m) [A'''/A - 2 A''A'/A^2 + A'^3/A^3]
 
-which avoids ever differentiating the modulus numerically.  All functions
-are pure and vectorized over y.
+which avoids ever differentiating the modulus numerically.  Each formula
+is written once, over one evaluation of psi and its three derivatives; a
+cross-section scan takes R, S, Q and Q' from that single pass.  All
+functions are pure and vectorized over y.
 
 Samples where R falls below a floor (1e-12 of the packet peak scale at
 that t) sit too close to a node for Q to be meaningful; they are returned
@@ -287,6 +289,16 @@ def psi(exp: SlitExperiment, consts: PhysicalConstants, y, t: float):
     return p
 
 
+def _polar(exp: SlitExperiment, consts: PhysicalConstants, p, t):
+    """(R, S) of psi samples p at time t; S = NaN below the node floor."""
+    r = np.abs(p)
+    phase = np.angle(p)
+    if phase.ndim > 0:
+        phase = np.unwrap(phase)
+    s = consts.hbar_ev_s * phase
+    return r, np.where(r > r_floor(exp, consts, t), s, np.nan)
+
+
 def amplitude_phase(exp: SlitExperiment, consts: PhysicalConstants,
                     y, t: float):
     """Polar decomposition (R, S) with S = hbar arg(psi) in eV s.
@@ -296,133 +308,62 @@ def amplitude_phase(exp: SlitExperiment, consts: PhysicalConstants,
     Node-adjacent samples (R below the floor) get S = NaN.
     """
     (p,) = _psi_derivs(exp, consts, y, t, order=0)
-    r = np.abs(p)
-    phase = np.angle(p)
-    if phase.ndim > 0:
-        phase = np.unwrap(phase)
-    s = consts.hbar_ev_s * phase
-    floor = r_floor(exp, consts, t)
-    s = np.where(r > floor, s, np.nan)
+    r, s = _polar(exp, consts, p, t)
     if np.ndim(y) == 0:
         return float(r), float(s)
     return r, s
 
 
-def _log_density_derivs(exp, consts, y, t, order=3):
-    """A = |psi|^2 and its derivatives A', A'', A''' (as needed)."""
-    derivs = _psi_derivs(exp, consts, y, t, order=order)
-    p = derivs[0]
-    a = (p * p.conjugate()).real
-    out = [a]
-    if order >= 1:
-        d1 = derivs[1]
-        out.append(2.0 * (p.conjugate() * d1).real)
-    if order >= 2:
-        d1, d2 = derivs[1], derivs[2]
-        out.append(2.0 * (p.conjugate() * d2).real
-                   + 2.0 * (d1 * d1.conjugate()).real)
-    if order >= 3:
-        d1, d2, d3 = derivs[1], derivs[2], derivs[3]
-        out.append(2.0 * (p.conjugate() * d3).real
-                   + 6.0 * (d1.conjugate() * d2).real)
-    return out
+def _density_derivs(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """psi, (A, A', A'', A''') with A = |psi|^2, and the mask A > floor^2.
+
+    One order-3 kernel call; Q and its gradient are defined on the mask.
+    """
+    p, d1, d2, d3 = _psi_derivs(exp, consts, y, t, order=3)
+    pc = p.conjugate()
+    a = (p * pc).real
+    a1 = 2.0 * (pc * d1).real
+    a2 = 2.0 * (pc * d2).real + 2.0 * (d1 * d1.conjugate()).real
+    a3 = 2.0 * (pc * d3).real + 6.0 * (d1.conjugate() * d2).real
+    return p, (a, a1, a2, a3), a > r_floor(exp, consts, t) ** 2
 
 
-def r_laplacian_over_r(exp: SlitExperiment, consts: PhysicalConstants,
-                       y, t: float):
-    """(d^2R/dy^2)/R = A''/(2A) - A'^2/(4A^2), unmasked."""
-    a, a1, a2 = _log_density_derivs(exp, consts, y, t, order=2)
+def _q(consts: PhysicalConstants, dens, above):
+    """Q = -(hbar^2/2m) [A''/(2A) - A'^2/(4A^2)]; NaN off the mask."""
+    a, a1, a2, _ = dens
     with np.errstate(invalid="ignore", divide="ignore"):
-        return a2 / (2.0 * a) - a1 * a1 / (4.0 * a * a)
+        q = -(consts.hbar_ev_s**2 / (2.0 * consts.electron_mass)) * (
+            a2 / (2.0 * a) - a1 * a1 / (4.0 * a * a))
+    return np.where(above, q, np.nan)
 
 
-def r_laplacian(exp: SlitExperiment, consts: PhysicalConstants, y, t: float):
-    """Analytic d^2R/dy^2, for cross-checks against finite differences."""
-    a = _log_density_derivs(exp, consts, y, t, order=0)[0]
-    return np.sqrt(a) * r_laplacian_over_r(exp, consts, y, t)
+def _grad_q(consts: PhysicalConstants, dens, above):
+    """Q' by the closed form in the module docstring; NaN off the mask."""
+    a, a1, a2, a3 = dens
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gq = -(consts.hbar_ev_s**2 / (4.0 * consts.electron_mass)) * (
+            a3 / a - 2.0 * a2 * a1 / (a * a) + (a1 / a) ** 3)
+    return np.where(above, gq, np.nan)
 
 
 def quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                       y, t: float):
     """Q = -(hbar^2/2m) R''/R in eV; NaN where R is below the node floor."""
-    a, a1, a2 = _log_density_derivs(exp, consts, y, t, order=2)
-    m = consts.electron_mass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = -(consts.hbar_ev_s**2 / (2.0 * m)) * (
-            a2 / (2.0 * a) - a1 * a1 / (4.0 * a * a))
-    floor2 = r_floor(exp, consts, t) ** 2
-    q = np.where(a > floor2, q, np.nan)
-    return float(q) if np.ndim(q) == 0 else q
+    _, dens, above = _density_derivs(exp, consts, y, t)
+    q = _q(consts, dens, above)
+    return float(q) if q.ndim == 0 else q
 
 
 def grad_quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
-                           y, t: float, method: str = "analytic",
-                           h_fd: float | None = None):
-    """dQ/dy in eV/cm; NaN where R is below the node floor.
-
-    method "analytic" uses the closed form
-        Q' = -(hbar^2/4m) [A'''/A - 2 A''A'/A^2 + A'^3/A^3];
-    "finite_difference" applies second-order central differences to Q with
-    step h_fd (default 1e-3 times the local field scale).
-    """
-    if method == "analytic":
-        a, a1, a2, a3 = _log_density_derivs(exp, consts, y, t, order=3)
-        m = consts.electron_mass
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gq = -(consts.hbar_ev_s**2 / (4.0 * m)) * (
-                a3 / a - 2.0 * a2 * a1 / (a * a) + (a1 / a) ** 3)
-        floor2 = r_floor(exp, consts, t) ** 2
-        gq = np.where(a > floor2, gq, np.nan)
-        return float(gq) if np.ndim(gq) == 0 else gq
-    if method == "finite_difference":
-        if h_fd is None:
-            h_fd = 1.0e-3 * field_scale(exp, consts, t)
-        y = np.asarray(y, dtype=float)
-        qp = quantum_potential(exp, consts, y + h_fd, t)
-        qm = quantum_potential(exp, consts, y - h_fd, t)
-        gq = (qp - qm) / (2.0 * h_fd)
-        return float(gq) if gq.ndim == 0 else gq
-    raise ConfigError(f"unknown gradient method {method!r}")
+                           y, t: float):
+    """dQ/dy in eV/cm; NaN where R is below the node floor."""
+    _, dens, above = _density_derivs(exp, consts, y, t)
+    gq = _grad_q(consts, dens, above)
+    return float(gq) if gq.ndim == 0 else gq
 
 
 # ---------------------------------------------------------------------------
 # Cross-section scans and valley detection
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One sampled point of the field; flag is 'ok' or 'singular'."""
-
-    y_cm: float
-    t_s: float
-    psi_re: float
-    psi_im: float
-    r: float
-    s_ev_s: float
-    q_ev: float
-    grad_q_ev_per_cm: float
-    flag: str
-
-
-def field_sample(exp: SlitExperiment, consts: PhysicalConstants,
-                 y: float, t: float) -> FieldSample:
-    """Probe every field channel at one (y, t) point."""
-    p = psi(exp, consts, y, t)
-    r, s = amplitude_phase(exp, consts, y, t)
-    q = quantum_potential(exp, consts, y, t)
-    gq = grad_quantum_potential(exp, consts, y, t)
-    singular = not math.isfinite(q)
-    return FieldSample(
-        y_cm=float(y),
-        t_s=float(t),
-        psi_re=p.real,
-        psi_im=p.imag,
-        r=r,
-        s_ev_s=s,
-        q_ev=q,
-        grad_q_ev_per_cm=gq,
-        flag="singular" if singular else "ok",
-    )
-
 
 @dataclass(frozen=True)
 class Valley:
@@ -490,9 +431,10 @@ def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
         raise ConfigError("n_samples must be >= 100")
     t = exp.section_time_s(x_cm)
     y = symmetric_grid(y_half_range_cm, n_samples)
-    r, s = amplitude_phase(exp, consts, y, t)
-    q = quantum_potential(exp, consts, y, t)
-    gq = grad_quantum_potential(exp, consts, y, t)
+    p, dens, above = _density_derivs(exp, consts, y, t)
+    r, s = _polar(exp, consts, p, t)
+    q = _q(consts, dens, above)
+    gq = _grad_q(consts, dens, above)
     singular = ~np.isfinite(q)
     result = ScanResult(x_cm=x_cm, t_s=t, y=y, r=r, s=s, q=q, grad_q=gq,
                         singular=singular)

@@ -13,6 +13,7 @@ from bohm_radiance.config import (
 )
 from bohm_radiance.errors import ConfigError
 from bohm_radiance.runner import run
+from bohm_radiance.trajectories import integrate_trajectory
 from bohm_radiance.wavefield import JONSSON_DEFAULTS
 
 
@@ -285,3 +286,33 @@ def test_cli_y0_list_parsing(tmp_path):
     summary = json.loads((out / "ensemble_summary.json").read_text())
     assert summary["n"] == 100
     assert summary["seed"] == 3
+
+
+@pytest.mark.parametrize("argv, payload, path", [
+    (["simulate-trajectories", "--t-end", "nan"], None,
+     "$.ensemble.t_end_s"),
+    (["spectrum"], {"valleys": [{"grad_q_ev_per_cm": float("nan"),
+                                 "tau_s": 1e-11}]},
+     "$.valleys[0].grad_q_ev_per_cm"),
+    (["spectrum"], {"valleys": [{"grad_q_ev_per_cm": float("inf"),
+                                 "tau_s": 1e-11}]},
+     "$.valleys[0].grad_q_ev_per_cm"),
+    (["table1"], {"experiment": {"packet_width_cm": float("nan")}},
+     "$.experiment.packet_width_cm"),
+], ids=["t_end_flag", "grad_q_nan", "grad_q_inf", "packet_width_nan"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, payload,
+                                        path):
+    # json.loads reads NaN and Infinity, argparse reads "nan", and schema
+    # bounds let NaN through
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if payload is not None:
+        argv += ["--config", str(write_config(tmp_path, payload))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and path in err
+    assert "Traceback" not in err
+
+
+def test_integrate_trajectory_rejects_nan_t_end(exp, paper):
+    with pytest.raises(ConfigError, match="t_end"):
+        integrate_trajectory(exp, paper, 4.9e-5, float("nan"))

@@ -104,17 +104,6 @@ def test_r_squared_matches_components(exp, paper):
     np.testing.assert_allclose(r * r, p.real**2 + p.imag**2, rtol=1e-10)
 
 
-def test_field_sample_probe(exp, paper):
-    t = exp.section_time_s(18.0)
-    fs = wf.field_sample(exp, paper, 1.1e-4, t)
-    assert fs.flag == "ok"
-    assert fs.r**2 == pytest.approx(fs.psi_re**2 + fs.psi_im**2, rel=1e-10)
-    assert np.isfinite(fs.q_ev) and np.isfinite(fs.grad_q_ev_per_cm)
-    dead = wf.field_sample(exp, paper, 0.0, 0.0)
-    assert dead.flag == "singular"
-    assert math.isnan(dead.q_ev)
-
-
 def test_fringe_spacing_matches_field_minima(exp, paper):
     # lambda_dB * D / (2 Y) against minima actually located in |psi|
     t = exp.section_time_s(35.0)
@@ -274,29 +263,15 @@ def test_grad_analytic_vs_finite_difference(exp, paper, masked_samples):
     np.testing.assert_allclose(g_fd, g_an, rtol=1e-6)
 
 
-def test_grad_default_fd_method(exp, paper, masked_samples):
-    # the exported finite_difference method is second order with a step of
-    # 1e-3 of the local field scale: accurate to ~1e-6 in the median and
-    # a few 1e-5 at the sharpest spikes
-    y, t = masked_samples
-    y = y[:4000]
-    g_an = wf.grad_quantum_potential(exp, paper, y, t)
-    g_fd = wf.grad_quantum_potential(exp, paper, y, t,
-                                     method="finite_difference")
-    rel = np.abs(g_fd - g_an) / np.abs(g_an)
-    assert np.median(rel) < 2e-6
-    assert np.percentile(rel, 95) < 1e-4
-    with pytest.raises(ConfigError):
-        wf.grad_quantum_potential(exp, paper, y, t, method="spectral")
-
-
 def test_laplacian_consistency(exp, paper, masked_samples):
-    # analytic d2R/dy2 against Richardson-extrapolated differences of R;
-    # samples near zero crossings of R'' are excluded (pointwise relative
-    # error is undefined at a zero of the reference)
+    # R'' = -(2m/hbar^2) Q R against Richardson-extrapolated differences
+    # of R = |psi|; samples near zero crossings of R'' are excluded
+    # (pointwise relative error is undefined at a zero of the reference)
     y, t = masked_samples
     y = y[:4000]
-    lap_an = wf.r_laplacian(exp, paper, y, t)
+    q = wf.quantum_potential(exp, paper, y, t)
+    lap_an = -(2.0 * paper.electron_mass / paper.hbar_ev_s**2) * q \
+        * np.abs(wf.psi(exp, paper, y, t))
 
     def r_of(yy):
         return np.abs(wf.psi(exp, paper, yy, t))
@@ -366,3 +341,28 @@ def test_scan_without_valleys_reports_diagnostic(paper):
     scan = wf.cross_section_scan(exp1, paper, 18.0, 4e-4, n_samples=2001)
     assert scan.valleys == []
     assert any("no valleys" in d for d in scan.diagnostics)
+
+
+def test_scan_is_one_kernel_pass(exp, paper, monkeypatch):
+    calls = []
+    kernel = wf._psi_derivs
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "_psi_derivs", counting)
+    wf.cross_section_scan(exp, paper, 18.0, 8e-4, n_samples=1025)
+    assert calls == [3]
+
+
+def test_scan_channels_match_public_functions(exp, paper, scan18):
+    y, t = scan18.y, scan18.t_s
+    r, s = wf.amplitude_phase(exp, paper, y, t)
+    assert np.array_equal(scan18.r, r, equal_nan=True)
+    assert np.array_equal(scan18.s, s, equal_nan=True)
+    assert np.array_equal(scan18.q, wf.quantum_potential(exp, paper, y, t),
+                          equal_nan=True)
+    assert np.array_equal(scan18.grad_q,
+                          wf.grad_quantum_potential(exp, paper, y, t),
+                          equal_nan=True)
