@@ -23,7 +23,6 @@ from .radiance import ValleyInput
 from .units import PhysicalConstants, constants
 from .wavefield import JONSSON_DEFAULTS, SlitExperiment, make_experiment
 
-CONFIG_SCHEMA_ID = "bohm-radiance/run-config/v1"
 OUTPUT_SCHEMA_ID = "bohm-radiance/output/v1"
 
 DEFAULT_CONFIG: dict = {

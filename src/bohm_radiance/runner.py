@@ -1,11 +1,13 @@
 """Run orchestration: execute a subcommand, persist outputs, write a manifest.
 
-Data files are deterministic for a fixed (config, seed, version): floats
-are serialized with shortest round-trip repr, JSON keys are sorted, and
-no timestamps enter data files.  The manifest carries the config hash,
-tool version, creation time, and a checksum per emitted file; if a
-handler fails after partial writes, the manifest is still written with
-status "incomplete" and the error note attached.
+Data files are deterministic for a fixed (config, seed, version): JSON
+keys are sorted, and no timestamps enter data files.  A CSV cell is
+``str`` of a Python number, which for a float is its shortest round-trip
+repr, or a string the handler built; ``quantum_potential.csv`` writes
+``nan`` for S, Q and grad Q on singular rows.  The manifest carries the
+config hash, tool version, creation time, and a checksum per emitted
+file; if a handler fails after partial writes, the manifest is still
+written with status "incomplete" and the error note attached.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import OUTPUT_SCHEMA_ID, RunConfig
@@ -70,12 +75,8 @@ class RunManifest:
         }
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a number (deterministic)."""
-    if isinstance(x, (int,)) or (hasattr(x, "dtype") and
-                                 x.dtype.kind in "iu"):
-        return str(int(x))
-    return repr(float(x))
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -100,22 +101,18 @@ class _Emitter:
         return path
 
     def write_json(self, name: str, doc: dict) -> Path:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-        return self.write_text(name, text + "\n")
+        return self.write_text(name, _json_text(doc))
 
-    def write_csv(self, name: str, header: list[str],
-                  rows: list[list]) -> Path:
+    def write_csv(self, name: str, header: list[str], rows) -> Path:
+        """Rows of Python numbers or strings; each cell is written as str."""
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                cell if isinstance(cell, str) else _fmt(cell)
-                for cell in row))
+        lines.extend(",".join(map(str, row)) for row in rows)
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_records(self, name: str, records: list[dict]) -> Path:
         """CSV of dict rows; the header is the keys of the first row."""
         return self.write_csv(name, list(records[0]),
-                              [list(r.values()) for r in records])
+                              (r.values() for r in records))
 
 
 def _doc(cfg: RunConfig, kind: str, body: dict) -> dict:
@@ -139,20 +136,15 @@ def _cmd_quantum_potential(cfg: RunConfig, em: _Emitter) -> None:
     scan = cross_section_scan(cfg.experiment, cfg.consts,
                               cfg.experiment.cross_section_x_cm,
                               cfg.scan.y_half_range_cm, cfg.scan.n_samples)
-    rows = []
-    for i in range(len(scan.y)):
-        singular = bool(scan.singular[i])
-        rows.append([
-            scan.y[i], scan.t_s, scan.r[i],
-            "nan" if singular else _fmt(scan.s[i]),
-            "nan" if singular else _fmt(scan.q[i]),
-            "nan" if singular else _fmt(scan.grad_q[i]),
-            "singular" if singular else "ok",
-        ])
+    singular = scan.singular
+    s, q, grad_q = (np.where(singular, np.nan, a).tolist()
+                    for a in (scan.s, scan.q, scan.grad_q))
+    flags = np.where(singular, "singular", "ok").tolist()
     em.write_csv("quantum_potential.csv",
                  ["y_cm", "t_s", "R", "S_eVs", "Q_eV", "gradQ_eV_per_cm",
                   "flag"],
-                 rows)
+                 zip(scan.y.tolist(), repeat(str(scan.t_s)), scan.r.tolist(),
+                     s, q, grad_q, flags))
 
 
 def _cmd_valley_report(cfg: RunConfig, em: _Emitter) -> None:
@@ -175,11 +167,11 @@ def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
         traj = integrate_trajectory(exp, consts, y0, t_end,
                                     tol=cfg.trajectories.tol,
                                     n_samples=cfg.trajectories.n_samples)
-        rows = list(zip(traj.t_s, traj.y_cm, traj.vy_cm_s,
-                        traj.ay_field, traj.ay_numeric))
         em.write_csv(f"trajectory_{k:03d}.csv",
                      ["t_s", "y_cm", "vy_cm_s", "ay_field", "ay_numeric"],
-                     [list(r) for r in rows])
+                     zip(traj.t_s.tolist(), traj.y_cm.tolist(),
+                         traj.vy_cm_s.tolist(), traj.ay_field.tolist(),
+                         traj.ay_numeric.tolist()))
         if traj.halted:
             halted.append(traj.halt_reason)
     result = run_ensemble(exp, consts, cfg.ensemble.n, cfg.ensemble.seed,
@@ -251,13 +243,9 @@ def _cmd_detectability(cfg: RunConfig, em: _Emitter) -> None:
     inputs = _valley_inputs(cfg)
     step = spectrum_step(consts, inputs[0])
     p_scaled = current_scaled_power(step.power_w, jonsson_current(consts))
-    fc = beam_flux(p_scaled)
     em.write_json("detectability.json", _doc(cfg, "detectability", {
         "scaled_power_w": p_scaled,
-        "beam_flux_w_m2": fc.beam_flux_w_m2,
-        "cmbr_flux_w_m2": fc.cmbr_flux_w_m2,
-        "patch_width_m": fc.patch_width_m,
-        "patch_height_m": fc.patch_height_m,
+        **beam_flux(p_scaled).as_dict(),
         "reference_beam_flux_w_m2": REFERENCE_BEAM_FLUX_W_M2,
         "notes": [BEAM_FLUX_DISCREPANCY_NOTE],
     }))
@@ -329,21 +317,15 @@ def run(subcommand: str, cfg: RunConfig) -> RunManifest:
         mode=cfg.mode,
         config_sha256=cfg.sha256(),
         created_utc=datetime.now(timezone.utc).isoformat(),
+        files=em.records,
     )
     try:
         _HANDLERS[subcommand](cfg, em)
-    except Exception as exc:
+    except BaseException as exc:
         manifest.status = "incomplete"
         manifest.notes.append(f"{type(exc).__name__}: {exc}")
-        manifest.files = em.records
-        _write_manifest(em, manifest)
         raise
-    manifest.files = em.records
-    _write_manifest(em, manifest)
+    finally:
+        (out_dir / "manifest.json").write_text(
+            _json_text(manifest.as_dict()), encoding="utf-8")
     return manifest
-
-
-def _write_manifest(em: _Emitter, manifest: RunManifest) -> None:
-    text = json.dumps(manifest.as_dict(), indent=2, sort_keys=True,
-                      allow_nan=False)
-    (em.out_dir / "manifest.json").write_text(text + "\n", encoding="utf-8")

@@ -30,6 +30,7 @@ distance between the final empirical distribution and |psi(y, t_end)|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,6 @@ class Trajectory:
     def valid(self) -> bool:
         return not self.halted
 
-    def x_cm(self) -> np.ndarray:
-        return self.forward_speed_cm_s * self.t_s
-
-    def __len__(self) -> int:
-        return len(self.t_s)
-
 
 def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                          y0: float, t_end: float, tol: float = DEFAULT_TOL,
@@ -129,11 +124,13 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     n_samples points.  Approaching a node halts integration; the partial
     path is returned with ``halted`` set.
     """
+    if not math.isfinite(y0):
+        raise ConfigError("y0 must be finite")
     if y0 == 0.0:
         raise ConfigError("y0 must be nonzero (the axis itself is a "
                           "stationary solution)")
-    if not t_end > 0.0:
-        raise ConfigError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ConfigError("t_end must be positive and finite")
     if node_margin(exp, consts, y0, 0.0) <= 0.0:
         raise ConfigError(
             f"y0={y0:g} sits inside the node floor of the initial state")
@@ -279,8 +276,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     Order follows y0, and a lane's row does not depend on the other
     lanes, so results replay bitwise.
     """
-    if not t_end > 0.0:
-        raise ConfigError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ConfigError("t_end must be positive and finite")
     t_eval = np.array([t_end]) if t_eval is None \
         else np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0.0) \
@@ -369,8 +366,8 @@ def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,
     """
     if n < 100:
         raise ConfigError("ensemble size must be >= 100")
-    if not t_end >= 0.0:
-        raise ConfigError("t_end must be >= 0")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ConfigError("t_end must be finite and >= 0")
     y0 = sample_initial_positions(exp, consts, n, seed)
     if t_end == 0.0:
         finals = y0.copy()

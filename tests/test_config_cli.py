@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from bohm_radiance.cli import main
@@ -14,7 +15,7 @@ from bohm_radiance.config import (
 from bohm_radiance.errors import ConfigError
 from bohm_radiance.runner import run
 from bohm_radiance.trajectories import integrate_trajectory
-from bohm_radiance.wavefield import JONSSON_DEFAULTS
+from bohm_radiance.wavefield import JONSSON_DEFAULTS, cross_section_scan
 
 
 def write_config(tmp_path, payload) -> Path:
@@ -163,6 +164,59 @@ def test_trajectory_csv_header(tmp_path, quick_overrides):
     assert first == "t_s,y_cm,vy_cm_s,ay_field,ay_numeric"
 
 
+def read_csv(path):
+    header, *rows = (line.split(",")
+                     for line in path.read_text().splitlines())
+    return header, rows
+
+
+def bits(values):
+    """float64 bit patterns, so equality is bit for bit (sign of zero too)."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def parsed(column):
+    return bits([float(cell) for cell in column])
+
+
+def test_quantum_potential_csv_round_trip(tmp_path):
+    # at 2 cm the default scan has singular rows next to finite ones
+    cfg, _ = run_subcommand(tmp_path, "quantum-potential",
+                            extra={"experiment": {"cross_section_x_cm": 2.0}})
+    scan = cross_section_scan(cfg.experiment, cfg.consts, 2.0,
+                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+    singular = scan.singular
+    assert singular.any() and not singular.all()
+    _, rows = read_csv(cfg.output_dir / "quantum_potential.csv")
+    cols = list(zip(*rows))
+    np.testing.assert_array_equal(parsed(cols[0]), bits(scan.y))
+    np.testing.assert_array_equal(parsed(cols[1]),
+                                  bits(np.full(len(rows), scan.t_s)))
+    np.testing.assert_array_equal(parsed(cols[2]), bits(scan.r))
+    for row, sing in zip(rows, singular):
+        if sing:
+            assert row[3:] == ["nan", "nan", "nan", "singular"]
+        else:
+            assert row[6] == "ok"
+    ok = ~singular
+    for col, values in zip(cols[3:6], (scan.s, scan.q, scan.grad_q)):
+        np.testing.assert_array_equal(
+            parsed(np.array(col)[ok]), bits(values[ok]))
+
+
+def test_trajectory_csv_round_trip(tmp_path, quick_overrides):
+    cfg, _ = run_subcommand(tmp_path, "simulate-trajectories",
+                            overrides=quick_overrides)
+    traj = integrate_trajectory(cfg.experiment, cfg.consts,
+                                cfg.trajectories.y0_list_cm[0],
+                                cfg.ensemble.t_end_s,
+                                tol=cfg.trajectories.tol,
+                                n_samples=cfg.trajectories.n_samples)
+    header, rows = read_csv(cfg.output_dir / "trajectory_001.csv")
+    for name, col in zip(header, zip(*rows)):
+        np.testing.assert_array_equal(parsed(col), bits(getattr(traj, name)))
+
+
 def test_compare_copenhagen_column_zero(tmp_path, quick_overrides):
     cfg, _ = run_subcommand(tmp_path, "compare", overrides=quick_overrides)
     lines = (cfg.output_dir / "compare.csv").read_text().splitlines()
@@ -182,7 +236,8 @@ def test_table1_row4_flagged(tmp_path, quick_overrides):
     assert "1.25e-20" in flags[4]
 
 
-def test_deterministic_reruns(tmp_path, quick_overrides):
+@pytest.mark.parametrize("sub", ALL_SUBCOMMANDS)
+def test_deterministic_reruns(tmp_path, sub, quick_overrides):
     import hashlib
 
     def digest_map(out_dir):
@@ -193,9 +248,9 @@ def test_deterministic_reruns(tmp_path, quick_overrides):
             out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return out
 
-    cfg_a, man_a = run_subcommand(tmp_path / "a", "table1",
+    cfg_a, man_a = run_subcommand(tmp_path / "a", sub,
                                   overrides=quick_overrides)
-    cfg_b, man_b = run_subcommand(tmp_path / "b", "table1",
+    cfg_b, man_b = run_subcommand(tmp_path / "b", sub,
                                   overrides=quick_overrides)
     # identical data bytes, identical manifests modulo timestamp and paths
     assert digest_map(cfg_a.output_dir) == digest_map(cfg_b.output_dir)

@@ -197,6 +197,11 @@ def test_integration_input_guards(exp, paper):
     # the inter-slit dead zone is node-masked at t = 0
     with pytest.raises(ConfigError, match="node floor"):
         tr.integrate_trajectory(exp, paper, 1e-6, 1e-9)
+    for y0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="y0"):
+            tr.integrate_trajectory(exp, paper, y0, 1e-9)
+    with pytest.raises(ConfigError, match="t_end"):
+        tr.integrate_trajectory(exp, paper, 5e-5, math.inf)
 
 
 def test_node_margin_signs(exp, paper):
@@ -249,3 +254,7 @@ def test_ensemble_input_guards(exp, paper):
         tr.run_ensemble(exp, paper, 50, seed=1, t_end=1e-9)
     with pytest.raises(ConfigError):
         tr.run_ensemble(exp, paper, 100, seed=1, t_end=-1.0)
+    with pytest.raises(ConfigError, match="t_end"):
+        tr.run_ensemble(exp, paper, 100, seed=1, t_end=math.inf)
+    with pytest.raises(ConfigError, match="t_end"):
+        tr.transport(exp, paper, [5e-5], math.inf)
