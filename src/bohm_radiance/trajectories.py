@@ -3,9 +3,19 @@
 The velocity of a trajectory is the phase gradient at its instantaneous
 position,
 
-    v(y, t) = (1/m) dS/dy = (hbar/m) Im(psi* psi') / |psi|^2,
+    v(y, t) = (1/m) dS/dy = (hbar/m) Im(psi* psi') / |psi|^2
+            = (hbar/m) Im(psi'/psi).
 
-and the beable acceleration is the quantum-potential force
+For the two equal-width packets psi = 2 N exp(-g (y^2 + Y^2)) cosh(2 g Y y),
+so psi'/psi = -2 g (y - Y tanh(2 g Y y)): the prefactor and the Gaussian
+envelope cancel, and with g = alpha (1 - i b), p = 4 alpha Y y,
+
+    v = (hbar/m) 2 alpha [b y - Y (sin(bp) sech p + b tanh p)
+                                / (1 + cos(bp) sech p)],
+
+evaluated in real arithmetic with no amplitude that could underflow.
+
+The beable acceleration is the quantum-potential force
 
     a(y, t) = -(1/m) dQ/dy,
 
@@ -44,6 +54,7 @@ from .wavefield import (
     grad_quantum_potential,
     r_floor,
     sigma_t,
+    spreading_parameter,
 )
 
 DEFAULT_TOL = 1.0e-9
@@ -57,17 +68,25 @@ MAX_FACTOR = 10.0
 
 
 def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """Guidance velocity (hbar/m) Im(psi* psi') / |psi|^2 in cm/s, unmasked.
+    """Guidance velocity (hbar/m) Im(psi'/psi) in cm/s, unmasked.
 
-    Used inside the integrators: the node event or the per-lane step
-    control handles the singular region, and amplitude underflow far in
-    the tails yields NaN, which the callers account for.
+    The real closed form of the module docstring, with
+    alpha = 1 / (4 sigma0^2 (1 + b^2)).  sech p is 1/cosh p, which is 0
+    where cosh overflows, its exact limit, so far in the tails v tends to
+    the single-packet velocity.  Used inside the integrators: the node
+    event or the per-lane step control handles the near-nodes.
     """
-    p, d1 = _psi_derivs(exp, consts, y, t, order=1)
-    a2 = (p * p.conjugate()).real
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (consts.hbar_ev_s / consts.electron_mass) \
-            * (p.conjugate() * d1).imag / a2
+    b = spreading_parameter(exp, consts, t)
+    alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
+    yy = exp.slit_half_separation_cm
+    y = np.asarray(y, dtype=float)
+    p = 4.0 * yy * alpha * y
+    bp = b * p
+    with np.errstate(over="ignore"):
+        sech = 1.0 / np.cosh(p)
+    return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
+        b * y - yy * (np.sin(bp) * sech + b * np.tanh(p))
+        / (1.0 + np.cos(bp) * sech))
 
 
 def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
@@ -268,8 +287,10 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     error norm, under scipy's RK45 tableau and step-size controller, so
     rtol = ``tol`` and atol = ``tol`` * packet width mean what they mean
     for one path.  A lane that reaches t_end leaves the active set.  A
-    lane whose step falls below 10 ulp of its time (e.g. amplitude
-    underflow far in the tails) fails alone: its row is NaN.
+    lane whose step falls below 10 ulp of its time fails alone: its row is
+    NaN.  The right-hand side is the real psi'/psi form of
+    ``_velocity_raw``, so lanes far in the tails propagate like a single
+    packet.
 
     Returns positions of shape (len(y0), len(t_eval)), filled from each
     lane's dense output; t_eval defaults to the single point t_end.
@@ -284,6 +305,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
             or np.any((t_eval < 0.0) | (t_eval > t_end)):
         raise ConfigError("t_eval must be sorted and within [0, t_end]")
     y = np.array(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("y0 must be finite")
     out = np.full((len(y), len(t_eval)), np.nan)
     rtol, atol = tol, tol * exp.packet_width_cm
 

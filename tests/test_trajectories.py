@@ -52,6 +52,44 @@ def test_velocity_masked_in_dead_zone(exp, paper):
     assert math.isnan(tr.velocity_field(exp, paper, 0.5e-6, 0.0))
 
 
+def _velocity_from_psi(exp, paper, y, t):
+    """Reference: (hbar/m) Im(psi* psi') / |psi|^2 from psi and psi'."""
+    p, d1 = wf._psi_derivs(exp, paper, y, t, order=1)
+    return (paper.hbar_ev_s / paper.electron_mass) \
+        * (p.conjugate() * d1).imag / (p * p.conjugate()).real
+
+
+def test_velocity_matches_psi_derivatives(exp, paper):
+    # the closed-form psi'/psi velocity against psi and psi' wherever
+    # |psi| is above the node floor, at 36 times from slit to screen
+    rng = np.random.default_rng(77)
+    times = np.concatenate([[0.0],
+                            rng.uniform(0.0, exp.time_of_flight_s, 35)])
+    checked = 0
+    for t in times:
+        half = exp.slit_half_separation_cm \
+            + tr.GRID_PADDING_SIGMAS * wf.sigma_t(exp, paper, t)
+        y = rng.uniform(-half, half, 10000)
+        above = tr.node_margin(exp, paper, y, t) > 0.0
+        np.testing.assert_allclose(
+            tr._velocity_raw(exp, paper, y[above], t),
+            _velocity_from_psi(exp, paper, y[above], t), rtol=1e-9, atol=0.0)
+        checked += above.sum()
+    assert checked > 3.5e5
+
+
+def test_velocity_scalar_and_lane_times_agree_bitwise(exp, paper):
+    # solve_ivp passes a float t, transport one t per lane: the same
+    # (y, t) must give the same velocity either way
+    rng = np.random.default_rng(78)
+    t = rng.uniform(0.0, exp.time_of_flight_s, 5000)
+    y = rng.uniform(-3e-4, 3e-4, 5000)
+    for i in range(len(t)):
+        np.testing.assert_array_equal(
+            tr._velocity_raw(exp, paper, y[i:i + 1], t[i:i + 1]),
+            tr._velocity_raw(exp, paper, y[i:i + 1], float(t[i])))
+
+
 # ---------------------------------------------------------------------------
 # beable acceleration
 
@@ -157,17 +195,37 @@ def test_transport_dense_output(exp, paper):
         tr.transport(exp, paper, y0, t_end, t_eval=[0.0, 2.0 * t_end])
 
 
-def test_transport_failed_lane_is_nan_alone(exp, paper):
-    # far in the tail |psi| underflows and the velocity is NaN from the
-    # start: that lane fails by itself, without a warning or an exception
+def test_transport_failed_lane_is_nan_alone(exp, paper, monkeypatch):
+    # a lane whose velocity turns NaN fails by itself, without a warning
+    # or an exception, and leaves its neighbour's path untouched
     t_end = exp.time_of_flight_s
+    lone = tr.transport(exp, paper, [5e-5], t_end)[:, -1]
+    velocity = tr._velocity_raw
+
+    def nan_in_far_tail(exp, consts, y, t):
+        return np.where(np.abs(y) > 1e-3, np.nan, velocity(exp, consts, y, t))
+
+    monkeypatch.setattr(tr, "_velocity_raw", nan_in_far_tail)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         finals = tr.transport(exp, paper, [5e-5, 1e-2], t_end)[:, -1]
     assert np.isnan(finals[1])
     assert np.isfinite(finals[0])
-    np.testing.assert_array_equal(
-        finals[:1], tr.transport(exp, paper, [5e-5], t_end)[:, -1])
+    np.testing.assert_array_equal(finals[:1], lone)
+
+
+def test_transport_far_tail_lanes_follow_single_packet(exp, paper):
+    # far in a tail the other packet is negligible: the lane dilates about
+    # the nearer slit centre, y = s Y + (y0 - s Y) sigma_t / sigma0
+    t_end = exp.time_of_flight_s
+    y0 = np.array([1e-2, -1e-2, 5e-2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finals = tr.transport(exp, paper, y0, t_end)[:, -1]
+    centre = np.sign(y0) * exp.slit_half_separation_cm
+    b = wf.spreading_parameter(exp, paper, t_end)
+    expected = centre + (y0 - centre) * math.sqrt(1.0 + b * b)
+    np.testing.assert_allclose(finals, expected, rtol=1e-8)
 
 
 def test_dvdt_matches_field_acceleration(exp, paper):
@@ -258,3 +316,6 @@ def test_ensemble_input_guards(exp, paper):
         tr.run_ensemble(exp, paper, 100, seed=1, t_end=math.inf)
     with pytest.raises(ConfigError, match="t_end"):
         tr.transport(exp, paper, [5e-5], math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="y0"):
+            tr.transport(exp, paper, [5e-5, bad], 1e-9)
