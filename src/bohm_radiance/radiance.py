@@ -283,7 +283,7 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
     a = traj.ay_field
     if not np.all(np.isfinite(a)):
         raise NumericalError(
-            "trajectory carries node-masked acceleration samples")
+            "trajectory carries non-finite acceleration samples")
     p_ev_s = consts.larmor_prefactor * a * a
     total = trapezoid(p_ev_s, traj.t_s) * consts.ev_to_joule
     per_valley: dict[int, float] = {}
@@ -321,13 +321,10 @@ def ensemble_mean_gradient(exp: SlitExperiment, consts: PhysicalConstants,
             f"integration range leaves {tail:.2e} of the probability mass "
             "outside; widen y_half_range_cm")
     y = symmetric_grid(y_half_range_cm, n_points)
-    p = _psi_derivs(exp, consts, y, t, order=0)[0]
+    p = _psi_derivs(exp, consts, y, t)[0]
     rho = (p * p.conjugate()).real
     gq = grad_quantum_potential(exp, consts, y, t)
-    good = np.isfinite(gq)
-    norm = trapezoid(np.where(good, rho, 0.0), y)
-    mean = trapezoid(np.where(good, rho * gq, 0.0), y) / norm
-    return float(mean)
+    return float(trapezoid(rho * gq, y) / trapezoid(rho, y))
 
 
 def ensemble_mean_power(exp: SlitExperiment, consts: PhysicalConstants,

@@ -50,11 +50,11 @@ from .errors import ConfigError, NumericalError
 from .units import PhysicalConstants
 from .wavefield import (
     SlitExperiment,
+    _closed_form_args,
     _psi_derivs,
     grad_quantum_potential,
     r_floor,
     sigma_t,
-    spreading_parameter,
 )
 
 DEFAULT_TOL = 1.0e-9
@@ -70,20 +70,14 @@ MAX_FACTOR = 10.0
 def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     """Guidance velocity (hbar/m) Im(psi'/psi) in cm/s, unmasked.
 
-    The real closed form of the module docstring, with
-    alpha = 1 / (4 sigma0^2 (1 + b^2)).  sech p is 1/cosh p, which is 0
-    where cosh overflows, its exact limit, so far in the tails v tends to
-    the single-packet velocity.  Used inside the integrators: the node
-    event or the per-lane step control handles the near-nodes.
+    The real closed form of the module docstring.  Where cosh p overflows
+    sech p is 0, its exact limit, so far in the tails v tends to the
+    single-packet velocity.
     """
-    b = spreading_parameter(exp, consts, t)
-    alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
+    b, alpha, p, sech = _closed_form_args(exp, consts, y, t)
     yy = exp.slit_half_separation_cm
     y = np.asarray(y, dtype=float)
-    p = 4.0 * yy * alpha * y
     bp = b * p
-    with np.errstate(over="ignore"):
-        sech = 1.0 / np.cosh(p)
     return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
         b * y - yy * (np.sin(bp) * sech + b * np.tanh(p))
         / (1.0 + np.cos(bp) * sech))
@@ -91,22 +85,21 @@ def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
 
 def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
                    y, t: float):
-    """Guidance velocity (1/m) dS/dy in cm/s; NaN below the node floor."""
-    v = np.where(node_margin(exp, consts, y, t) > 0.0,
-                 _velocity_raw(exp, consts, y, t), np.nan)
+    """Guidance velocity (1/m) dS/dy in cm/s."""
+    v = _velocity_raw(exp, consts, y, t)
     return float(v) if np.ndim(y) == 0 else v
 
 
 def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
                          y, t):
-    """Beable acceleration -(1/m) dQ/dy in cm/s^2; NaN below the floor."""
+    """Beable acceleration -(1/m) dQ/dy in cm/s^2."""
     gq = grad_quantum_potential(exp, consts, y, t)
     return -gq / consts.electron_mass
 
 
 def node_margin(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     """|psi| minus the node floor; non-positive inside the masked region."""
-    p = _psi_derivs(exp, consts, y, t, order=0)[0]
+    p = _psi_derivs(exp, consts, y, t)[0]
     return np.abs(p) - r_floor(exp, consts, t)
 
 
@@ -221,7 +214,7 @@ def _density_grid(exp: SlitExperiment, consts: PhysicalConstants, t: float,
     half = exp.slit_half_separation_cm \
         + GRID_PADDING_SIGMAS * sigma_t(exp, consts, t)
     y = np.linspace(-half, half, n_grid)
-    p = _psi_derivs(exp, consts, y, t, order=0)[0]
+    p = _psi_derivs(exp, consts, y, t)[0]
     pdf = (p * p.conjugate()).real
     cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, y)])
     total = cdf[-1]

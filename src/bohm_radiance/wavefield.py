@@ -18,20 +18,28 @@ quantum potential
 
     Q = -(hbar^2 / 2m) (d^2 R / dy^2) / R
 
-and its y-gradient.  Both are evaluated in closed form through the first
-three complex derivatives of psi: with A = R^2 = |psi|^2,
+and its y-gradient.  Both come in closed form from the log-derivative
+L = psi'/psi, whose real part is R'/R.  For the two equal-width packets
+psi = 2 N exp(-g (y^2 + Y^2)) cosh z with z = 2 g Y y, so
 
-    R''/R = A''/(2A) - A'^2/(4A^2)
-    Q'    = -(hbar^2/4m) [A'''/A - 2 A''A'/A^2 + A'^3/A^3]
+    L   = -2 g (y - Y tanh z)
+    L'  = -2 g + 4 g^2 Y^2 sech^2 z
+    L'' = -16 g^3 Y^3 sech^2 z tanh z
 
-which avoids ever differentiating the modulus numerically.  Each formula
-is written once, over one evaluation of psi and its three derivatives; a
-cross-section scan takes R, S, Q and Q' from that single pass.  All
+and
+
+    R''/R = Re L' + (Re L)^2
+    Q'    = -(hbar^2/2m) (Re L'' + 2 Re L Re L').
+
+The prefactor and the Gaussian envelope cancel.  With g = alpha (1 - i b)
+and p = 4 alpha Y y = 2 Re z, tanh z and sech^2 z are real functions of p
+and b p, so Q and Q' are evaluated in real arithmetic, with no amplitude
+that could underflow: they are finite for every finite y and t >= 0.  All
 functions are pure and vectorized over y.
 
 Samples where R falls below a floor (1e-12 of the packet peak scale at
-that t) sit too close to a node for Q to be meaningful; they are returned
-as NaN and flagged, and valley scans exclude them.
+that t) carry no meaningful phase: S is returned as NaN there, a scan
+flags them singular, and valley detection skips them.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ import numpy as np
 from .errors import ConfigError
 from .units import PhysicalConstants
 
-# Fraction of the peak amplitude scale below which a sample counts as
-# node-adjacent and is masked out of Q / grad Q.
+# Fraction of the peak amplitude scale below which the phase S of a sample
+# is masked (Q and grad Q need no mask).
 R_FLOOR_FRACTION = 1.0e-12
 
 # Ratio kinetic energy / rest energy above which the non-relativistic
@@ -225,12 +233,12 @@ def peak_amplitude_scale(exp: SlitExperiment, consts: PhysicalConstants, t):
 
 
 def r_floor(exp: SlitExperiment, consts: PhysicalConstants, t):
-    """Amplitude below which a sample is treated as node-adjacent."""
+    """Amplitude at or below which S is masked and a path halts."""
     return R_FLOOR_FRACTION * peak_amplitude_scale(exp, consts, t)
 
 
 # ---------------------------------------------------------------------------
-# psi and derivatives
+# psi, its polar form, and the quantum potential
 
 def _packet_core(exp: SlitExperiment, consts: PhysicalConstants, t):
     """Complex width parameter g and prefactor N of one packet at time t.
@@ -245,52 +253,33 @@ def _packet_core(exp: SlitExperiment, consts: PhysicalConstants, t):
     return g, n
 
 
-def _psi_derivs(exp: SlitExperiment, consts: PhysicalConstants,
-                y, t, order: int = 3):
-    """psi and its first ``order`` y-derivatives, each shaped like y.
+def _psi_derivs(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """[psi] at (y, t), shaped like y.
 
-    For one packet G = N exp(-g u^2):
-        G'   = -2 g u G
-        G''  = (4 g^2 u^2 - 2 g) G
-        G''' = (12 g^2 u - 8 g^3 u^3) G
-    and the superposition just sums the two shifted packets.  t may be a
-    scalar or an array broadcastable against y (paired path samples).
+    The one evaluation of the Gaussian sum, for R, S and the density.  t
+    may be a scalar or an array broadcastable against y.  The list form
+    lets the benchmark's tracer count the points of each call.
     """
     if np.any(np.asarray(t) < 0.0):
         raise ConfigError("t must be >= 0")
     y = np.asarray(y, dtype=float)
     g, n = _packet_core(exp, consts, t)
     yy = exp.slit_half_separation_cm
-    out = []
     u1 = y - yy
     u2 = y + yy
-    # amplitude underflow far in the tails is benign: those samples sit
-    # below the node floor and end up masked by the callers
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        g1 = n * np.exp(-g * u1 * u1)
-        g2 = n * np.exp(-g * u2 * u2)
-        out.append(g1 + g2)
-        if order >= 1:
-            out.append(-2.0 * g * (u1 * g1 + u2 * g2))
-        if order >= 2:
-            out.append((4.0 * g * g * u1 * u1 - 2.0 * g) * g1
-                       + (4.0 * g * g * u2 * u2 - 2.0 * g) * g2)
-        if order >= 3:
-            out.append((12.0 * g**2 * u1 - 8.0 * g**3 * u1**3) * g1
-                       + (12.0 * g**2 * u2 - 8.0 * g**3 * u2**3) * g2)
-    return out
+    return [n * np.exp(-g * u1 * u1) + n * np.exp(-g * u2 * u2)]
 
 
 def psi(exp: SlitExperiment, consts: PhysicalConstants, y, t: float):
     """Un-normalized superposition amplitude at (y, t)."""
-    (p,) = _psi_derivs(exp, consts, y, t, order=0)
+    (p,) = _psi_derivs(exp, consts, y, t)
     if p.ndim == 0:
         return complex(p)
     return p
 
 
 def _polar(exp: SlitExperiment, consts: PhysicalConstants, p, t):
-    """(R, S) of psi samples p at time t; S = NaN below the node floor."""
+    """(R, S) of psi samples p at time t; S = NaN below the floor."""
     r = np.abs(p)
     phase = np.angle(p)
     if phase.ndim > 0:
@@ -305,60 +294,76 @@ def amplitude_phase(exp: SlitExperiment, consts: PhysicalConstants,
 
     For array y the phase is unwrapped along the array so dS/dy is well
     defined between nodes; for scalar y the principal value is returned.
-    Node-adjacent samples (R below the floor) get S = NaN.
+    Samples with R below the floor get S = NaN.
     """
-    (p,) = _psi_derivs(exp, consts, y, t, order=0)
+    (p,) = _psi_derivs(exp, consts, y, t)
     r, s = _polar(exp, consts, p, t)
     if np.ndim(y) == 0:
         return float(r), float(s)
     return r, s
 
 
-def _density_derivs(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """psi, (A, A', A'', A''') with A = |psi|^2, and the mask A > floor^2.
+def _closed_form_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """b, alpha = 1 / (4 sigma0^2 (1 + b^2)), p = 4 alpha Y y and sech p.
 
-    One order-3 kernel call; Q and its gradient are defined on the mask.
+    The real arguments of the closed form of psi'/psi.  sech p is
+    1/cosh p, which is 0 where cosh overflows, its exact limit.
     """
-    p, d1, d2, d3 = _psi_derivs(exp, consts, y, t, order=3)
-    pc = p.conjugate()
-    a = (p * pc).real
-    a1 = 2.0 * (pc * d1).real
-    a2 = 2.0 * (pc * d2).real + 2.0 * (d1 * d1.conjugate()).real
-    a3 = 2.0 * (pc * d3).real + 6.0 * (d1.conjugate() * d2).real
-    return p, (a, a1, a2, a3), a > r_floor(exp, consts, t) ** 2
+    b = spreading_parameter(exp, consts, t)
+    alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
+    p = 4.0 * exp.slit_half_separation_cm * alpha * np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        sech = 1.0 / np.cosh(p)
+    return b, alpha, p, sech
 
 
-def _q(consts: PhysicalConstants, dens, above):
-    """Q = -(hbar^2/2m) [A''/(2A) - A'^2/(4A^2)]; NaN off the mask."""
-    a, a1, a2, _ = dens
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = -(consts.hbar_ev_s**2 / (2.0 * consts.electron_mass)) * (
-            a2 / (2.0 * a) - a1 * a1 / (4.0 * a * a))
-    return np.where(above, q, np.nan)
+def _q_grad_q(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """Q in eV and dQ/dy in eV/cm by the closed form of the module docstring.
 
+    With c = cos(bp), s = sech p and D = 1 + c s, which is at least
+    1 - s > 0 for p != 0 and 2 at p = 0,
 
-def _grad_q(consts: PhysicalConstants, dens, above):
-    """Q' by the closed form in the module docstring; NaN off the mask."""
-    a, a1, a2, a3 = dens
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gq = -(consts.hbar_ev_s**2 / (4.0 * consts.electron_mass)) * (
-            a3 / a - 2.0 * a2 * a1 / (a * a) + (a1 / a) ** 3)
-    return np.where(above, gq, np.nan)
+        tanh z   = Tr + i Ti = (tanh p - i sin(bp) s) / D
+        sech^2 z = Sr + i Si = 1 - (Tr + i Ti)^2,
+
+    where Sr = 1 - Tr^2 + Ti^2 is taken as 2 s (c + s) / D^2, its form
+    without the cancellation of 1 - Tr^2 as tanh p tends to 1.  The real
+    parts of L, L' and L'' then follow from g = alpha (1 - i b),
+    g^2 = alpha^2 (1 - b^2 - 2 i b) and
+    g^3 = alpha^3 (1 - 3 b^2 + i (b^3 - 3 b)).
+    """
+    if np.any(np.asarray(t) < 0.0):
+        raise ConfigError("t must be >= 0")
+    b, alpha, p, sech = _closed_form_args(exp, consts, y, t)
+    y = np.asarray(y, dtype=float)
+    yy = exp.slit_half_separation_cm
+    bp = b * p
+    cos_bp = np.cos(bp)
+    d = 1.0 + cos_bp * sech
+    tr = np.tanh(p) / d
+    ti = -np.sin(bp) * sech / d
+    sr = 2.0 * sech * (cos_bp + sech) / (d * d)
+    si = -2.0 * tr * ti
+    ay = alpha * yy
+    re_l = -2.0 * alpha * (y - yy * (tr + b * ti))
+    re_l1 = -2.0 * alpha + 4.0 * ay * ay * ((1.0 - b * b) * sr + 2.0 * b * si)
+    re_l2 = -16.0 * ay**3 * ((1.0 - 3.0 * b * b) * (sr * tr - si * ti)
+                             - (b**3 - 3.0 * b) * (sr * ti + si * tr))
+    k = -consts.hbar_ev_s**2 / (2.0 * consts.electron_mass)
+    return k * (re_l1 + re_l * re_l), k * (re_l2 + 2.0 * re_l * re_l1)
 
 
 def quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                       y, t: float):
-    """Q = -(hbar^2/2m) R''/R in eV; NaN where R is below the node floor."""
-    _, dens, above = _density_derivs(exp, consts, y, t)
-    q = _q(consts, dens, above)
+    """Q = -(hbar^2/2m) R''/R in eV."""
+    q, _ = _q_grad_q(exp, consts, y, t)
     return float(q) if q.ndim == 0 else q
 
 
 def grad_quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                            y, t: float):
-    """dQ/dy in eV/cm; NaN where R is below the node floor."""
-    _, dens, above = _density_derivs(exp, consts, y, t)
-    gq = _grad_q(consts, dens, above)
+    """dQ/dy in eV/cm."""
+    _, gq = _q_grad_q(exp, consts, y, t)
     return float(gq) if gq.ndim == 0 else gq
 
 
@@ -407,7 +412,7 @@ class ScanResult:
     s: np.ndarray
     q: np.ndarray
     grad_q: np.ndarray
-    singular: np.ndarray          # bool mask, True where node-adjacent
+    singular: np.ndarray          # bool mask, True where R is below the floor
     valleys: list[Valley] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -431,11 +436,9 @@ def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
         raise ConfigError("n_samples must be >= 100")
     t = exp.section_time_s(x_cm)
     y = symmetric_grid(y_half_range_cm, n_samples)
-    p, dens, above = _density_derivs(exp, consts, y, t)
-    r, s = _polar(exp, consts, p, t)
-    q = _q(consts, dens, above)
-    gq = _grad_q(consts, dens, above)
-    singular = ~np.isfinite(q)
+    r, s = _polar(exp, consts, _psi_derivs(exp, consts, y, t)[0], t)
+    q, gq = _q_grad_q(exp, consts, y, t)
+    singular = np.isnan(s)
     result = ScanResult(x_cm=x_cm, t_s=t, y=y, r=r, s=s, q=q, grad_q=gq,
                         singular=singular)
     result.valleys = _detect_valleys(y, q, singular, result.diagnostics)

@@ -276,7 +276,7 @@ def test_radiated_energy_rejects_invalid(paper):
         rad.trajectory_radiated_energy(paper, traj)
     traj2 = synthetic_trajectory(t, np.full_like(t, 1e-5),
                                  np.full_like(t, np.nan))
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="non-finite acceleration"):
         rad.trajectory_radiated_energy(paper, traj2)
 
 

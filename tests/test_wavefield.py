@@ -6,6 +6,8 @@ import pytest
 from bohm_radiance.errors import ConfigError
 from bohm_radiance import wavefield as wf
 
+import reference_kernel as ref
+
 
 def single_packet(paper, **overrides):
     """Degenerate one-packet limit (both packets merged at y = 0)."""
@@ -192,16 +194,27 @@ def test_q_mirror_symmetry(exp, paper):
     np.testing.assert_allclose(q_plus, q_minus, rtol=1e-10)
 
 
-def test_q_masked_in_dead_zone(exp, paper):
-    assert math.isnan(wf.quantum_potential(exp, paper, 0.0, 0.0))
-    assert math.isnan(wf.grad_quantum_potential(exp, paper, 0.0, 0.0))
+def test_q_closed_form_in_dead_zone(exp, paper):
+    # between the slits at t = 0, R is ~1e-22 of the peak, yet Q takes its
+    # closed value -(hbar^2/2m)(-2 alpha + 4 alpha^2 Y^2), alpha = 1/(4 s0^2)
+    alpha = 1.0 / (4.0 * exp.packet_width_cm**2)
+    yy = exp.slit_half_separation_cm
+    expected = -(paper.hbar_ev_s**2 / (2.0 * paper.electron_mass)) * (
+        -2.0 * alpha + 4.0 * alpha**2 * yy**2)
+    assert wf.quantum_potential(exp, paper, 0.0, 0.0) == pytest.approx(
+        expected, rel=1e-14)
+    assert wf.grad_quantum_potential(exp, paper, 0.0, 0.0) == 0.0
 
 
-def test_q_finite_above_floor(exp, paper, scan18):
-    finite = np.isfinite(scan18.q)
-    above = scan18.r > wf.r_floor(exp, paper, scan18.t_s)
-    assert np.array_equal(finite, above)
-    assert finite.all()  # the 18 cm section has no masked samples
+def test_q_finite_above_floor(exp, paper):
+    # at 2 cm the default scan reaches past the floor: Q and grad Q stay
+    # finite there, and exactly the samples with R at or below the floor
+    # are flagged singular
+    scan = wf.cross_section_scan(exp, paper, 2.0, 8e-4, n_samples=16385)
+    assert np.isfinite(scan.q).all() and np.isfinite(scan.grad_q).all()
+    above = scan.r > wf.r_floor(exp, paper, scan.t_s)
+    assert np.array_equal(scan.singular, ~above)
+    assert scan.singular.any() and not scan.singular.all()
 
 
 def test_q_magnitude_scale_at_section(scan18):
@@ -237,6 +250,89 @@ def test_far_field_reduces_to_single_packet(paper):
         g_single = -pref * u / (2.0 * s**4)
         g_two = wf.grad_quantum_potential(exp, paper, y, t)
         assert g_two == pytest.approx(g_single, rel=1e-9)
+
+
+def random_field_points(exp, rng, n, y_half_range_cm):
+    """n uniform (y, t) pairs, |y| <= the half range, t in [0, T]."""
+    return (rng.uniform(-y_half_range_cm, y_half_range_cm, n),
+            rng.uniform(0.0, exp.time_of_flight_s, n))
+
+
+def scaled_error(value, reference, scale):
+    """|value - reference| over max(|reference|, scale).
+
+    At a zero of Q or grad Q a relative error is undefined; there the
+    error is measured against the one-packet scale of the quantity.
+    """
+    return np.abs(value - reference) / np.maximum(np.abs(reference), scale)
+
+
+def one_packet_scales(exp, paper, t):
+    """hbar^2 / (4 m sigma_t^2) for Q and that over sigma_t for grad Q."""
+    s = wf.sigma_t(exp, paper, t)
+    q0 = paper.hbar_ev_s**2 / (4.0 * paper.electron_mass * s * s)
+    return q0, q0 / s
+
+
+def test_q_matches_reference_kernel(exp, paper):
+    # 2e5 random points against the A = |psi|^2 formulas wherever those
+    # are finite.  Those formulas cancel by up to b^3 (b ~ 130 at the
+    # screen), which costs them up to ~2e-7 relative at a few tail points;
+    # wherever the two disagree by more than 1e-9, 50-digit arithmetic
+    # decides, and the closed form must match it to 1e-9
+    rng = np.random.default_rng(2024)
+    y, t = random_field_points(exp, rng, 200_000, 8e-4)
+    q = wf.quantum_potential(exp, paper, y, t)
+    gq = wf.grad_quantum_potential(exp, paper, y, t)
+    q_ref, gq_ref = ref.q_grad_q(exp, paper, y, t)
+    finite = np.isfinite(q_ref)
+    assert finite.sum() > 1.5e5
+    q0, g0 = one_packet_scales(exp, paper, t)
+    off = finite & ((scaled_error(q, q_ref, q0) > 1e-9)
+                    | (scaled_error(gq, gq_ref, g0) > 1e-9))
+    assert off.sum() < 1e-3 * finite.sum()
+    for i in np.flatnonzero(off):
+        q_mp, gq_mp = ref.mp_q_grad_q(exp, paper, y[i], t[i])
+        assert scaled_error(q[i], q_mp, q0[i]) < 1e-9
+        assert scaled_error(gq[i], gq_mp, g0[i]) < 1e-9
+
+
+def test_q_where_reference_underflows_matches_mpmath(exp, paper):
+    # where R is at or below 1e-12 of the peak the float64 reference is
+    # NaN, and the closed form must match 50-digit arithmetic to 1e-9
+    rng = np.random.default_rng(2025)
+    y, t = random_field_points(exp, rng, 20_000, 8e-4)
+    below = np.flatnonzero(np.isnan(ref.q_grad_q(exp, paper, y, t)[0]))
+    assert below.size > 300
+    pick = rng.choice(below, 300, replace=False)
+    q = wf.quantum_potential(exp, paper, y[pick], t[pick])
+    gq = wf.grad_quantum_potential(exp, paper, y[pick], t[pick])
+    expected = np.array([ref.mp_q_grad_q(exp, paper, y[i], t[i])
+                         for i in pick])
+    np.testing.assert_allclose(q, expected[:, 0], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(gq, expected[:, 1], rtol=1e-9, atol=0.0)
+
+
+def test_q_far_tail_matches_single_packet(exp, paper):
+    # where p = 4 alpha Y |y| >= 40 the other packet is below e^-40 and Q
+    # is that of one free packet about the nearer slit centre:
+    # -(hbar^2/2m)(-2 alpha + 4 alpha^2 u^2), and its gradient
+    # -(hbar^2/2m) 8 alpha^2 u, with u = y - sgn(y) Y
+    rng = np.random.default_rng(2026)
+    y, t = random_field_points(exp, rng, 100_000, 0.5)
+    alpha = 1.0 / (4.0 * wf.sigma_t(exp, paper, t) ** 2)
+    yy = exp.slit_half_separation_cm
+    tail = 4.0 * alpha * yy * np.abs(y) >= 40.0
+    assert tail.sum() > 5e4
+    y, t, alpha = y[tail], t[tail], alpha[tail]
+    u = y - np.sign(y) * yy
+    k = -paper.hbar_ev_s**2 / (2.0 * paper.electron_mass)
+    np.testing.assert_allclose(
+        wf.quantum_potential(exp, paper, y, t),
+        k * (-2.0 * alpha + 4.0 * alpha**2 * u * u), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        wf.grad_quantum_potential(exp, paper, y, t),
+        k * 8.0 * alpha**2 * u, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +440,19 @@ def test_scan_without_valleys_reports_diagnostic(paper):
 
 
 def test_scan_is_one_kernel_pass(exp, paper, monkeypatch):
+    # one evaluation of psi over the grid, for R and S; Q and grad Q need
+    # none
     calls = []
     kernel = wf._psi_derivs
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("order"))
-        return kernel(*args, **kwargs)
+        out = kernel(*args, **kwargs)
+        calls.append(len(out) - 1)  # the highest derivative order returned
+        return out
 
     monkeypatch.setattr(wf, "_psi_derivs", counting)
     wf.cross_section_scan(exp, paper, 18.0, 8e-4, n_samples=1025)
-    assert calls == [3]
+    assert calls == [0]
 
 
 def test_scan_channels_match_public_functions(exp, paper, scan18):
