@@ -8,6 +8,7 @@ embedded types are enforced on load.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -76,7 +77,7 @@ class ScanSettings:
 
 @dataclass(frozen=True)
 class TrajectorySettings:
-    y0_list_cm: tuple[float, ...]
+    y0_list_cm: list[float]
     n_samples: int
     tol: float
 
@@ -163,7 +164,8 @@ def load_config(path: str | Path | None = None,
             ) from None
         if not isinstance(user, dict):
             raise ConfigError(f"config file {p} must hold a JSON object")
-    merged = _deep_merge(DEFAULT_CONFIG, user)
+    # a copy, so no part of a RunConfig aliases the defaults
+    merged = _deep_merge(copy.deepcopy(DEFAULT_CONFIG), user)
     if overrides:
         merged = _deep_merge(merged, overrides)
     # JSON and argparse both accept NaN and Infinity, and schema bounds
@@ -197,26 +199,16 @@ def load_config(path: str | Path | None = None,
 
     valleys = tuple(_build_valley(v, i + 1)
                     for i, v in enumerate(merged["valleys"]))
-    ens_raw = merged["ensemble"]
-    ensemble = EnsembleSettings(n=ens_raw["n"], seed=ens_raw["seed"],
-                                t_end_s=ens_raw["t_end_s"])
-    scan_raw = merged["scan"]
-    scan = ScanSettings(y_half_range_cm=scan_raw["y_half_range_cm"],
-                        n_samples=scan_raw["n_samples"])
-    traj_raw = merged["trajectories"]
-    trajectories = TrajectorySettings(
-        y0_list_cm=tuple(traj_raw["y0_list_cm"]),
-        n_samples=traj_raw["n_samples"],
-        tol=traj_raw["tol"],
-    )
+    # each settings object of the schema admits no other keys, and the
+    # defaults supply every key
     return RunConfig(
         constants_preset=merged["constants"],
         mode=merged["mode"],
         experiment=experiment,
         valleys=valleys,
-        ensemble=ensemble,
-        scan=scan,
-        trajectories=trajectories,
+        ensemble=EnsembleSettings(**merged["ensemble"]),
+        scan=ScanSettings(**merged["scan"]),
+        trajectories=TrajectorySettings(**merged["trajectories"]),
         output_dir=Path(merged["output_dir"]),
         merged=merged,
     )

@@ -151,14 +151,6 @@ class FluxComparison:
         if min(self.patch_width_m, self.patch_height_m) <= 0.0:
             raise ConfigError("patch dimensions must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "beam_flux_w_m2": self.beam_flux_w_m2,
-            "cmbr_flux_w_m2": self.cmbr_flux_w_m2,
-            "patch_width_m": self.patch_width_m,
-            "patch_height_m": self.patch_height_m,
-        }
-
 
 def beam_flux(power_w: float,
               patch_width_m: float = DEFAULT_PATCH_WIDTH_M,

@@ -142,15 +142,17 @@ class ValleyInput:
 
 @dataclass(frozen=True)
 class SpectrumStep:
-    """One valley's step spectrum and bookkeeping quantities."""
+    """One valley's step spectrum and bookkeeping quantities.
 
-    valley_index: int
+    The field order is the column order of ``spectrum.csv``.
+    """
+
+    valley: int
     grad_q_ev_per_cm: float
     acceleration_cm_s2: float
     tau_s: float
     delta_v_cm_s: float         # per-leg speed change a*tau
     power_w: float
-    power_ev_s: float
     omega_c_hz: float           # cutoff angular frequency 1/tau
     lambda_c_cm: float          # c/omega_c
     i0_ev_per_hz: float         # step height (4/3)(alpha hbar/c^2) dv^2
@@ -161,21 +163,6 @@ class SpectrumStep:
         """Step spectrum: I(0) below the cutoff, zero at and above it."""
         return self.i0_ev_per_hz if omega_hz < self.omega_c_hz else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "valley": self.valley_index,
-            "grad_q_ev_per_cm": self.grad_q_ev_per_cm,
-            "acceleration_cm_s2": self.acceleration_cm_s2,
-            "tau_s": self.tau_s,
-            "delta_v_cm_s": self.delta_v_cm_s,
-            "power_w": self.power_w,
-            "omega_c_hz": self.omega_c_hz,
-            "lambda_c_cm": self.lambda_c_cm,
-            "i0_ev_per_hz": self.i0_ev_per_hz,
-            "photon_energy_j": self.photon_energy_j,
-            "photon_frequency_hz": self.photon_frequency_hz,
-        }
-
 
 def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     """Full per-valley emission characteristics from a ValleyInput."""
@@ -185,18 +172,16 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     else:
         tau = collision_time(vi.v0_cm_s, a, vi.dy_cm)
     delta_v = a * tau
-    power_ev_s = consts.larmor_prefactor * a * a
-    power_w = power_ev_s * consts.ev_to_joule
+    power_w = consts.larmor_prefactor * a * a * consts.ev_to_joule
     i0 = consts.larmor_prefactor * delta_v * delta_v
     energy_j, nu = photon_energy_frequency(consts, power_w, tau)
     return SpectrumStep(
-        valley_index=vi.index,
+        valley=vi.index,
         grad_q_ev_per_cm=vi.grad_q_ev_per_cm,
         acceleration_cm_s2=a,
         tau_s=tau,
         delta_v_cm_s=delta_v,
         power_w=power_w,
-        power_ev_s=power_ev_s,
         omega_c_hz=1.0 / tau,
         lambda_c_cm=consts.c_cm_s * tau,
         i0_ev_per_hz=i0,
@@ -291,9 +276,12 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
         xi = interference_wavenumber(exp, consts, traj.t_s)
         eta = np.abs(traj.y_cm) * xi / math.pi
         k = np.floor(eta / 2.0).astype(int) + 1
-        for kk in np.unique(k):
-            e = trapezoid(np.where(k == kk, p_ev_s, 0.0), traj.t_s)
-            per_valley[int(kk)] = float(e * consts.ev_to_joule)
+        # trapezoid weight of each sample: half of each adjacent interval
+        dt = np.diff(traj.t_s)
+        weight = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
+        band_j = np.bincount(k, weights=weight * p_ev_s) * consts.ev_to_joule
+        per_valley = {int(kk): float(band_j[kk])
+                      for kk in np.flatnonzero(np.bincount(k))}
     return RadiatedEnergy(total_j=float(total), per_valley_j=per_valley)
 
 
@@ -345,26 +333,29 @@ def ensemble_mean_power(exp: SlitExperiment, consts: PhysicalConstants,
 # ---------------------------------------------------------------------------
 # Simulation mode: valley inputs derived from the wavefield
 
+# Valleys per side that simulation mode derives inputs for, as many as
+# the paper quotes.
+SIMULATION_VALLEYS = 4
+
+
 def simulation_valley_inputs(exp: SlitExperiment, consts: PhysicalConstants,
-                             x_cm: float | None = None,
-                             y_half_range_cm: float = 8.0e-4,
-                             n_samples: int = 16385,
-                             max_valleys: int = 4) -> list[ValleyInput]:
+                             y_half_range_cm: float,
+                             n_samples: int) -> list[ValleyInput]:
     """Derive per-valley inputs from a cross-section scan of the field.
 
-    For each detected valley on the positive side (innermost first) the
-    wall gradient estimate and half-width come from the scan and the
-    entry speed from the guidance velocity at the inner flanking crest.
-    These feed the same closed-form chain as reproduction mode, but are
-    held only to order-of-magnitude agreement with it.
+    The scan is taken at the experiment's cross section.  For each of the
+    first SIMULATION_VALLEYS valleys on the positive side (innermost
+    first) the wall gradient estimate and half-width come from the scan
+    and the entry speed from the guidance velocity at the inner flanking
+    crest.  These feed the same closed-form chain as reproduction mode,
+    but are held only to order-of-magnitude agreement with it.
     """
-    if x_cm is None:
-        x_cm = exp.cross_section_x_cm
+    x_cm = exp.cross_section_x_cm
     t = exp.section_time_s(x_cm)
     scan = cross_section_scan(exp, consts, x_cm, y_half_range_cm, n_samples)
     out = []
     for v in scan.valleys:
-        if v.y_min_cm <= 0.0 or v.index > max_valleys:
+        if v.y_min_cm <= 0.0 or v.index > SIMULATION_VALLEYS:
             continue
         inner_flank = v.y_left_cm  # nearer the axis for y_min > 0
         v0 = abs(velocity_field(exp, consts, inner_flank, t))

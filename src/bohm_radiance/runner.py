@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -59,20 +59,9 @@ class RunManifest:
     notes: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "schema": OUTPUT_SCHEMA_ID,
-            "kind": "manifest",
-            "tool": "bohm-radiance",
-            "version": __version__,
-            "created_utc": self.created_utc,
-            "subcommand": self.subcommand,
-            "constants": self.constants,
-            "mode": self.mode,
-            "config_sha256": self.config_sha256,
-            "status": self.status,
-            "files": self.files,
-            "notes": self.notes,
-        }
+        return {"schema": OUTPUT_SCHEMA_ID, "kind": "manifest",
+                "tool": "bohm-radiance", "version": __version__,
+                **asdict(self)}
 
 
 def _json_text(doc: dict) -> str:
@@ -122,39 +111,44 @@ def _doc(cfg: RunConfig, kind: str, body: dict) -> dict:
     return doc
 
 
-def _valley_inputs(cfg: RunConfig):
-    """Reproduction mode uses configured inputs; simulation derives them."""
+def _scan(cfg: RunConfig):
+    """The configured scan at the experiment's cross section."""
+    return cross_section_scan(cfg.experiment, cfg.consts,
+                              cfg.experiment.cross_section_x_cm,
+                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+
+
+def _steps(cfg: RunConfig):
+    """One spectrum step per valley: reproduction mode uses the configured
+    inputs, simulation mode derives them from the field."""
     if cfg.mode == "reproduction":
-        return list(cfg.valleys)
-    return simulation_valley_inputs(
-        cfg.experiment, cfg.consts,
-        y_half_range_cm=cfg.scan.y_half_range_cm,
-        n_samples=cfg.scan.n_samples)
+        inputs = cfg.valleys
+    else:
+        inputs = simulation_valley_inputs(cfg.experiment, cfg.consts,
+                                          cfg.scan.y_half_range_cm,
+                                          cfg.scan.n_samples)
+    return [spectrum_step(cfg.consts, vi) for vi in inputs]
 
 
 def _cmd_quantum_potential(cfg: RunConfig, em: _Emitter) -> None:
-    scan = cross_section_scan(cfg.experiment, cfg.consts,
-                              cfg.experiment.cross_section_x_cm,
-                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
-    singular = scan.singular
-    s, q, grad_q = (np.where(singular, np.nan, a).tolist()
-                    for a in (scan.s, scan.q, scan.grad_q))
-    flags = np.where(singular, "singular", "ok").tolist()
+    scan = _scan(cfg)
+    # s is already NaN on singular rows
+    q, grad_q = (np.where(scan.singular, np.nan, a).tolist()
+                 for a in (scan.q, scan.grad_q))
+    flags = np.where(scan.singular, "singular", "ok").tolist()
     em.write_csv("quantum_potential.csv",
                  ["y_cm", "t_s", "R", "S_eVs", "Q_eV", "gradQ_eV_per_cm",
                   "flag"],
                  zip(scan.y.tolist(), repeat(str(scan.t_s)), scan.r.tolist(),
-                     s, q, grad_q, flags))
+                     scan.s.tolist(), q, grad_q, flags))
 
 
 def _cmd_valley_report(cfg: RunConfig, em: _Emitter) -> None:
-    scan = cross_section_scan(cfg.experiment, cfg.consts,
-                              cfg.experiment.cross_section_x_cm,
-                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+    scan = _scan(cfg)
     em.write_json("valley_report.json", _doc(cfg, "valley_report", {
         "x_cm": scan.x_cm,
         "t_s": scan.t_s,
-        "valleys": [v.as_dict() for v in scan.valleys],
+        "valleys": [asdict(v) for v in scan.valleys],
         "diagnostics": scan.diagnostics,
     }))
 
@@ -193,8 +187,7 @@ def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
 
 
 def _cmd_spectrum(cfg: RunConfig, em: _Emitter) -> None:
-    steps = [spectrum_step(cfg.consts, vi).as_dict()
-             for vi in _valley_inputs(cfg)]
+    steps = [asdict(step) for step in _steps(cfg)]
     em.write_json("spectrum.json", _doc(cfg, "spectrum", {
         "mode": cfg.mode,
         "steps": steps,
@@ -206,30 +199,18 @@ def _cmd_spectrum(cfg: RunConfig, em: _Emitter) -> None:
         for step in steps])
 
 
-def _table_rows(cfg: RunConfig):
-    consts = cfg.consts
-    j_current = jonsson_current(consts)
-    rows = []
-    for vi in _valley_inputs(cfg):
-        step = spectrum_step(consts, vi)
-        p_j = current_scaled_power(step.power_w, j_current)
-        flag = ""
-        if cfg.mode == "reproduction" and step.valley_index == 4:
-            flag = ROW4_SCALING_NOTE
-        rows.append({
-            "valley": step.valley_index,
-            "omega_c_hz": step.omega_c_hz,
-            "lambda_c_cm": step.lambda_c_cm,
-            "i0_ev_per_hz": step.i0_ev_per_hz,
-            "p_tonomura_w": step.power_w,
-            "p_jonsson_w": p_j,
-            "flag": flag,
-        })
-    return rows
-
-
 def _cmd_table1(cfg: RunConfig, em: _Emitter) -> None:
-    rows = _table_rows(cfg)
+    j_current = jonsson_current(cfg.consts)
+    rows = [{
+        "valley": step.valley,
+        "omega_c_hz": step.omega_c_hz,
+        "lambda_c_cm": step.lambda_c_cm,
+        "i0_ev_per_hz": step.i0_ev_per_hz,
+        "p_tonomura_w": step.power_w,
+        "p_jonsson_w": current_scaled_power(step.power_w, j_current),
+        "flag": (ROW4_SCALING_NOTE
+                 if cfg.mode == "reproduction" and step.valley == 4 else ""),
+    } for step in _steps(cfg)]
     em.write_json("table1.json", _doc(cfg, "table1", {
         "mode": cfg.mode,
         "rows": rows,
@@ -239,13 +220,12 @@ def _cmd_table1(cfg: RunConfig, em: _Emitter) -> None:
 
 
 def _cmd_detectability(cfg: RunConfig, em: _Emitter) -> None:
-    consts = cfg.consts
-    inputs = _valley_inputs(cfg)
-    step = spectrum_step(consts, inputs[0])
-    p_scaled = current_scaled_power(step.power_w, jonsson_current(consts))
+    step = _steps(cfg)[0]
+    p_scaled = current_scaled_power(step.power_w,
+                                    jonsson_current(cfg.consts))
     em.write_json("detectability.json", _doc(cfg, "detectability", {
         "scaled_power_w": p_scaled,
-        **beam_flux(p_scaled).as_dict(),
+        **asdict(beam_flux(p_scaled)),
         "reference_beam_flux_w_m2": REFERENCE_BEAM_FLUX_W_M2,
         "notes": [BEAM_FLUX_DISCREPANCY_NOTE],
     }))
@@ -255,17 +235,12 @@ def _cmd_compare(cfg: RunConfig, em: _Emitter) -> None:
     consts = cfg.consts
     j_current = jonsson_current(consts)
     t_current = tonomura_current(consts)
-    rows = []
-    for vi in _valley_inputs(cfg):
-        step = spectrum_step(consts, vi)
-        rows.append({
-            "valley": step.valley_index,
-            "copenhagen_power_w": copenhagen_emission_power(),
-            "bdb_power_tonomura_w": current_scaled_power(step.power_w,
-                                                         t_current),
-            "bdb_power_jonsson_w": current_scaled_power(step.power_w,
-                                                        j_current),
-        })
+    rows = [{
+        "valley": step.valley,
+        "copenhagen_power_w": copenhagen_emission_power(),
+        "bdb_power_tonomura_w": current_scaled_power(step.power_w, t_current),
+        "bdb_power_jonsson_w": current_scaled_power(step.power_w, j_current),
+    } for step in _steps(cfg)]
     mean_power = ensemble_mean_power(
         cfg.experiment, consts,
         cfg.experiment.section_time_s(cfg.experiment.cross_section_x_cm))

@@ -133,8 +133,11 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
 
     Local error per step is controlled at ``tol`` (relative) by the
     embedded RK 4(5) pair.  The path is recorded on a uniform grid of
-    n_samples points.  Approaching a node halts integration; the partial
-    path is returned with ``halted`` set.
+    n_samples points.  Any finite nonzero y0 is accepted: the velocity
+    comes from psi'/psi, which stays finite where |psi| is below the node
+    floor, as in the tails and between the slits at t = 0.  A path whose
+    |psi| falls through the floor halts integration; the partial path is
+    returned with ``halted`` set.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -143,9 +146,6 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                           "stationary solution)")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError("t_end must be positive and finite")
-    if node_margin(exp, consts, y0, 0.0) <= 0.0:
-        raise ConfigError(
-            f"y0={y0:g} sits inside the node floor of the initial state")
 
     def rhs(t, y):
         return _velocity_raw(exp, consts, y, t)

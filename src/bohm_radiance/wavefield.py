@@ -65,9 +65,9 @@ RELATIVISTIC_RATIO_LIMIT = 0.2
 class SlitExperiment:
     """Geometry and beam parameters of the two-Gaussian-slit setup.
 
-    Lengths in cm, speeds in cm/s, energies in eV.  ``amplitude`` scales
-    the (un-normalized) wavefunction; every derived quantity must be
-    invariant under it, which the test suite asserts.
+    Lengths in cm, speeds in cm/s, energies in eV.  Each packet is
+    normalized at t = 0; the velocity, Q and grad Q come from psi'/psi,
+    in which no overall factor of psi survives.
 
     slit_half_separation_cm may be zero: that is the degenerate
     single-packet limit used by closed-form oracles.  Configuration
@@ -80,7 +80,6 @@ class SlitExperiment:
     forward_speed_cm_s: float        # v_x
     screen_distance_cm: float        # D
     cross_section_x_cm: float        # section position for scans
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.slit_half_separation_cm < 0.0:
@@ -94,8 +93,6 @@ class SlitExperiment:
         if not 0.0 < self.cross_section_x_cm <= self.screen_distance_cm:
             raise ConfigError(
                 "cross_section_x_cm must satisfy 0 < x <= screen_distance_cm")
-        if self.amplitude <= 0.0:
-            raise ConfigError("amplitude must be positive")
 
     @property
     def time_of_flight_s(self) -> float:
@@ -130,8 +127,7 @@ def make_experiment(consts: PhysicalConstants,
                     kinetic_energy_ev: float,
                     screen_distance_cm: float,
                     cross_section_x_cm: float,
-                    forward_speed_cm_s: float | None = None,
-                    amplitude: float = 1.0) -> SlitExperiment:
+                    forward_speed_cm_s: float | None = None) -> SlitExperiment:
     """Validated construction: non-relativistic guard and p^2/2m consistency.
 
     If forward_speed_cm_s is omitted it is derived from the kinetic
@@ -159,7 +155,6 @@ def make_experiment(consts: PhysicalConstants,
         forward_speed_cm_s=forward_speed_cm_s,
         screen_distance_cm=screen_distance_cm,
         cross_section_x_cm=cross_section_x_cm,
-        amplitude=amplitude,
     )
 
 
@@ -229,7 +224,7 @@ def peak_amplitude_scale(exp: SlitExperiment, consts: PhysicalConstants, t):
     b = spreading_parameter(exp, consts, t)
     n_abs = (2.0 * math.pi * exp.packet_width_cm**2) ** -0.25 \
         / (1.0 + b * b) ** 0.25
-    return 2.0 * exp.amplitude * n_abs
+    return 2.0 * n_abs
 
 
 def r_floor(exp: SlitExperiment, consts: PhysicalConstants, t):
@@ -248,8 +243,7 @@ def _packet_core(exp: SlitExperiment, consts: PhysicalConstants, t):
     b = spreading_parameter(exp, consts, t)
     denom = 1.0 + 1j * b
     g = 1.0 / (4.0 * exp.packet_width_cm**2 * denom)
-    n = exp.amplitude * (2.0 * math.pi * exp.packet_width_cm**2) ** -0.25 \
-        / np.sqrt(denom)
+    n = (2.0 * math.pi * exp.packet_width_cm**2) ** -0.25 / np.sqrt(denom)
     return g, n
 
 
@@ -389,17 +383,6 @@ class Valley:
     half_width_cm: float
     grad_estimate_ev_per_cm: float
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "y_min_cm": self.y_min_cm,
-            "y_left_cm": self.y_left_cm,
-            "y_right_cm": self.y_right_cm,
-            "depth_ev": self.depth_ev,
-            "half_width_cm": self.half_width_cm,
-            "grad_estimate_ev_per_cm": self.grad_estimate_ev_per_cm,
-        }
-
 
 @dataclass
 class ScanResult:
@@ -426,7 +409,7 @@ def symmetric_grid(half_range: float, n_samples: int) -> np.ndarray:
 
 def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
                        x_cm: float, y_half_range_cm: float,
-                       n_samples: int = 8193) -> ScanResult:
+                       n_samples: int) -> ScanResult:
     """Sample the field along y at the section x and detect Q valleys.
 
     The grid is symmetric about y = 0 (mirror symmetry of the setup is

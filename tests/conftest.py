@@ -28,6 +28,16 @@ def scan18(exp, paper):
 
 
 @pytest.fixture(scope="session")
+def quick_overrides():
+    """Config overrides that keep a full run of any subcommand short."""
+    return {
+        "ensemble": {"n": 100, "seed": 11, "t_end_s": 5.0e-10},
+        "scan": {"y_half_range_cm": 6.0e-4, "n_samples": 4097},
+        "trajectories": {"y0_list_cm": [4.9e-5], "n_samples": 256},
+    }
+
+
+@pytest.fixture(scope="session")
 def masked_samples(exp, paper):
     """Random y samples at the 18 cm section above the amplitude mask."""
     from bohm_radiance.wavefield import psi, r_floor

@@ -34,7 +34,7 @@ def _width_and_prefactor(exp, consts, t):
     b = consts.hbar_ev_s * np.asarray(t) / (2.0 * consts.electron_mass * s0**2)
     denom = 1.0 + 1j * b
     g = 1.0 / (4.0 * s0**2 * denom)
-    n = exp.amplitude * (2.0 * math.pi * s0**2) ** -0.25 / np.sqrt(denom)
+    n = (2.0 * math.pi * s0**2) ** -0.25 / np.sqrt(denom)
     return g, n
 
 

@@ -14,7 +14,7 @@ import pytest
 from bohm_radiance import radiance as rad
 from bohm_radiance import trajectories as tr
 from bohm_radiance import wavefield as wf
-from bohm_radiance.config import load_config
+from bohm_radiance.config import DEFAULT_CONFIG, load_config
 from bohm_radiance.presets import (
     PAPER_VALLEY_INPUTS,
     REFERENCE_ROW4_POWER_JONSSON_W,
@@ -168,7 +168,8 @@ def test_field_correctness(exp, paper, masked_samples):
 def test_simulation_mode_sanity(exp, paper):
     # field-derived wall gradients and per-valley energies against the
     # reproduction inputs, to one order of magnitude
-    sim_inputs = rad.simulation_valley_inputs(exp, paper)
+    sim_inputs = rad.simulation_valley_inputs(exp, paper,
+                                              **DEFAULT_CONFIG["scan"])
     assert [vi.index for vi in sim_inputs] == [1, 2, 3, 4]
     for sim, repro in zip(sim_inputs, PAPER_VALLEY_INPUTS):
         ratio = repro.grad_q_ev_per_cm / sim.grad_q_ev_per_cm

@@ -46,6 +46,15 @@ def test_no_config_file_same_as_empty(tmp_path):
     assert a.sha256() == b.sha256()
 
 
+def test_config_does_not_alias_defaults():
+    cfg = load_config(None)
+    assert cfg.trajectories.y0_list_cm == \
+        DEFAULT_CONFIG["trajectories"]["y0_list_cm"]
+    assert cfg.trajectories.y0_list_cm is not \
+        DEFAULT_CONFIG["trajectories"]["y0_list_cm"]
+    assert cfg.merged["valleys"] is not DEFAULT_CONFIG["valleys"]
+
+
 def test_documented_preset_selects_reproduction(tmp_path):
     cfg = load_config(write_config(
         tmp_path, {"constants": "paper", "mode": "reproduction"}))
@@ -105,15 +114,6 @@ def test_config_schema_is_valid_against_metaschema():
 # ---------------------------------------------------------------------------
 # runner outputs
 
-@pytest.fixture(scope="module")
-def quick_overrides():
-    return {
-        "ensemble": {"n": 100, "seed": 11, "t_end_s": 5.0e-10},
-        "scan": {"y_half_range_cm": 6.0e-4, "n_samples": 4097},
-        "trajectories": {"y0_list_cm": [4.9e-5], "n_samples": 256},
-    }
-
-
 def run_subcommand(tmp_path, sub, extra=None, overrides=None):
     over = dict(overrides or {})
     over["output_dir"] = str(tmp_path / sub)
@@ -129,9 +129,17 @@ ALL_SUBCOMMANDS = ["quantum-potential", "valley-report", "spectrum",
                    "simulate-trajectories"]
 
 
-@pytest.mark.parametrize("sub", ALL_SUBCOMMANDS)
-def test_subcommand_outputs_validate(tmp_path, sub, quick_overrides):
-    cfg, manifest = run_subcommand(tmp_path, sub, overrides=quick_overrides)
+# reproduction-mode cases keep the bare subcommand as their id
+MODE_CASES = [
+    pytest.param(sub, mode,
+                 id=sub if mode == "reproduction" else f"{sub}-{mode}")
+    for mode in ("reproduction", "simulation") for sub in ALL_SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("sub, mode", MODE_CASES)
+def test_subcommand_outputs_validate(tmp_path, sub, mode, quick_overrides):
+    cfg, manifest = run_subcommand(tmp_path, sub, extra={"mode": mode},
+                                   overrides=quick_overrides)
     assert manifest.status == "complete"
     out_dir = cfg.output_dir
     schema = output_schema()
@@ -155,6 +163,22 @@ def test_quantum_potential_csv_header(tmp_path, quick_overrides):
                             overrides=quick_overrides)
     first = (cfg.output_dir / "quantum_potential.csv").read_text().splitlines()[0]
     assert first == "y_cm,t_s,R,S_eVs,Q_eV,gradQ_eV_per_cm,flag"
+
+
+@pytest.mark.parametrize("sub, name, header", [
+    ("spectrum", "spectrum.csv",
+     "valley,grad_q_ev_per_cm,tau_s,delta_v_cm_s,power_w,omega_c_hz,"
+     "lambda_c_cm,i0_ev_per_hz,photon_energy_j,photon_frequency_hz"),
+    ("table1", "table1.csv",
+     "valley,omega_c_hz,lambda_c_cm,i0_ev_per_hz,p_tonomura_w,p_jonsson_w,"
+     "flag"),
+    ("compare", "compare.csv",
+     "valley,copenhagen_power_w,bdb_power_tonomura_w,bdb_power_jonsson_w"),
+])
+def test_emission_csv_header(tmp_path, quick_overrides, sub, name, header):
+    # spectrum.csv's columns follow the SpectrumStep field order
+    cfg, _ = run_subcommand(tmp_path, sub, overrides=quick_overrides)
+    assert (cfg.output_dir / name).read_text().splitlines()[0] == header
 
 
 def test_trajectory_csv_header(tmp_path, quick_overrides):

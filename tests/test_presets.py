@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from bohm_radiance.errors import ConfigError
@@ -84,7 +86,7 @@ def test_beam_flux_zero_and_scaling():
 def test_flux_comparison_carries_cmbr(paper):
     fc = pre.beam_flux(1.82e-17)
     assert fc.cmbr_flux_w_m2 == pre.cmbr_flux()
-    d = fc.as_dict()
+    d = asdict(fc)
     assert set(d) == {"beam_flux_w_m2", "cmbr_flux_w_m2", "patch_width_m",
                       "patch_height_m"}
 

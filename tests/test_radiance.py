@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
+from bohm_radiance.config import DEFAULT_CONFIG
 from bohm_radiance.errors import ConfigError, DomainError, NumericalError
 from bohm_radiance import radiance as rad
 from bohm_radiance import trajectories as tr
@@ -144,9 +145,11 @@ def test_spectrum_step_invariants(paper):
         assert step.omega_c_hz * step.tau_s == pytest.approx(1.0, rel=1e-12)
         assert step.lambda_c_cm * step.omega_c_hz == pytest.approx(
             paper.c_cm_s, rel=1e-12)
-        # I0 = P tau^2 in consistent (eV) units
+        # I0 = P tau^2 in consistent (eV) units; approx's default abs of
+        # 1e-12 would pass any I0 near 1e-27, so it is turned off
         assert step.i0_ev_per_hz == pytest.approx(
-            step.power_ev_s * step.tau_s**2, rel=1e-12)
+            step.power_w / paper.ev_to_joule * step.tau_s**2, rel=1e-12,
+            abs=0.0)
         # nonnegativity, zero only under zero acceleration
         assert step.power_w > 0 and step.i0_ev_per_hz > 0
         assert step.photon_energy_j > 0
@@ -161,7 +164,7 @@ def test_heuristic_power_is_exact_up_to_prefactor(paper):
     # alpha hbar (dv/c)^2 / tau reproduces the leg energy up to 4/3
     for vi in PAPER_VALLEY_INPUTS:
         step = rad.spectrum_step(paper, vi)
-        leg_energy_ev = step.power_ev_s * step.tau_s
+        leg_energy_ev = step.power_w / paper.ev_to_joule * step.tau_s
         heuristic_ev = paper.alpha * paper.hbar_ev_s \
             * (step.delta_v_cm_s / paper.c_cm_s) ** 2 / step.tau_s
         ratio = leg_energy_ev / heuristic_ev
@@ -286,8 +289,25 @@ def test_radiated_energy_valley_partition_sums_to_total(exp, paper):
     out = rad.trajectory_radiated_energy(paper, traj, exp=exp)
     assert out.per_valley_j
     assert sum(out.per_valley_j.values()) == pytest.approx(out.total_j,
-                                                           rel=1e-9)
+                                                           rel=1e-9, abs=0.0)
     assert all(k >= 1 for k in out.per_valley_j)
+
+
+def test_radiated_energy_per_valley_matches_masked_trapezoids(exp, paper):
+    # the one weighted pass over the band index against one trapezoid per
+    # band with every other band's power masked to zero
+    traj = tr.integrate_trajectory(exp, paper, 4.9e-5,
+                                   exp.time_of_flight_s, n_samples=262144)
+    out = rad.trajectory_radiated_energy(paper, traj, exp=exp)
+    xi = wf.interference_wavenumber(exp, paper, traj.t_s)
+    band = np.floor(np.abs(traj.y_cm) * xi / math.pi / 2.0).astype(int) + 1
+    p_w = paper.larmor_prefactor * traj.ay_field**2 * paper.ev_to_joule
+    expected = {int(k): trapezoid(np.where(band == k, p_w, 0.0), traj.t_s)
+                for k in np.unique(band)}
+    assert len(expected) >= 10
+    assert list(out.per_valley_j) == list(expected)
+    np.testing.assert_allclose(list(out.per_valley_j.values()),
+                               list(expected.values()), rtol=1e-12, atol=0)
 
 
 def test_radiated_energy_through_valley_two(exp, paper):
@@ -341,7 +361,8 @@ def test_ensemble_mean_range_guard(exp, paper):
 # simulation-mode inputs
 
 def test_simulation_valley_inputs(exp, paper):
-    inputs = rad.simulation_valley_inputs(exp, paper)
+    inputs = rad.simulation_valley_inputs(exp, paper,
+                                          **DEFAULT_CONFIG["scan"])
     assert [vi.index for vi in inputs] == [1, 2, 3, 4]
     grads = [vi.grad_q_ev_per_cm for vi in inputs]
     assert all(g > 0 for g in grads)

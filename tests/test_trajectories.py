@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import warnings
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
+from bohm_radiance.cli import main
 from bohm_radiance.errors import ConfigError
 from bohm_radiance import trajectories as tr
 from bohm_radiance import wavefield as wf
@@ -290,28 +292,36 @@ def test_dvdt_matches_field_acceleration(exp, paper):
     assert np.max(rel) < 1e-3  # acceptance runs the tighter 1e-4 variant
 
 
-def test_normalization_independent_trajectories(exp, paper):
-    expk = wf.jonsson_experiment(paper, amplitude=1.0e3)
-    a = tr.integrate_trajectory(exp, paper, 4.9e-5, exp.time_of_flight_s,
-                                n_samples=512)
-    b = tr.integrate_trajectory(expk, paper, 4.9e-5, exp.time_of_flight_s,
-                                n_samples=512)
-    np.testing.assert_allclose(b.y_cm, a.y_cm, rtol=1e-10)
-
-
 def test_integration_input_guards(exp, paper):
     with pytest.raises(ConfigError):
         tr.integrate_trajectory(exp, paper, 0.0, 1e-9)
     with pytest.raises(ConfigError):
         tr.integrate_trajectory(exp, paper, 5e-5, -1e-9)
-    # the inter-slit dead zone is node-masked at t = 0
-    with pytest.raises(ConfigError, match="node floor"):
-        tr.integrate_trajectory(exp, paper, 1e-6, 1e-9)
     for y0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="y0"):
             tr.integrate_trajectory(exp, paper, y0, 1e-9)
     with pytest.raises(ConfigError, match="t_end"):
         tr.integrate_trajectory(exp, paper, 5e-5, math.inf)
+
+
+def test_launches_below_the_initial_node_floor(exp, paper, tmp_path,
+                                               quick_overrides):
+    # between the slits and in the tails |psi(y0, 0)| is below the node
+    # floor, yet psi has no node there: these paths reach the screen
+    t_end = exp.time_of_flight_s
+    fringe = wf.fringe_spacing(exp, paper, exp.screen_distance_cm)
+    y0 = [1e-6, -1e-6, 1e-4, -1.5e-4, 2e-4, 1e-3]
+    assert all(tr.node_margin(exp, paper, y, 0.0) <= 0.0 for y in y0)
+    lanes = tr.transport(exp, paper, y0, t_end)[:, -1]
+    for y, lane in zip(y0, lanes):
+        traj = tr.integrate_trajectory(exp, paper, y, t_end, n_samples=512)
+        assert not traj.halted
+        assert np.all(np.isfinite(traj.ay_field))
+        assert abs(traj.y_cm[-1] - lane) < 1e-6 * fringe
+    config = tmp_path / "quick.json"
+    config.write_text(json.dumps(quick_overrides), encoding="utf-8")
+    assert main(["simulate-trajectories", "--config", str(config),
+                 "--out", str(tmp_path / "out"), "--y0-list", "1e-4"]) == 0
 
 
 def test_node_margin_signs(exp, paper):

@@ -223,20 +223,6 @@ def test_q_magnitude_scale_at_section(scan18):
     assert 1e-5 < qmax < 1e-3
 
 
-def test_normalization_invariance_of_q_s(exp, paper):
-    expk = wf.jonsson_experiment(paper, amplitude=1.0e3)
-    y = np.linspace(-5e-4, 5e-4, 501)
-    t = exp.section_time_s(18.0)
-    q1 = wf.quantum_potential(exp, paper, y, t)
-    qk = wf.quantum_potential(expk, paper, y, t)
-    np.testing.assert_allclose(qk, q1, rtol=1e-10,
-                               atol=1e-10 * np.nanmax(np.abs(q1)))
-    g1 = wf.grad_quantum_potential(exp, paper, y, t)
-    gk = wf.grad_quantum_potential(expk, paper, y, t)
-    np.testing.assert_allclose(gk, g1, rtol=1e-10,
-                               atol=1e-10 * np.nanmax(np.abs(g1)))
-
-
 def test_far_field_reduces_to_single_packet(paper):
     # at an early section the packets are disjoint: outside the slit region
     # the field is one free Gaussian and Q takes its closed parabolic form
