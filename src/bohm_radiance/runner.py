@@ -1,10 +1,15 @@
 """Run orchestration: execute a subcommand, persist outputs, write a manifest.
 
 Data files are deterministic for a fixed (config, seed, version): JSON
-keys are sorted, and no timestamps enter data files.  A CSV cell is
-``str`` of a Python number, which for a float is its shortest round-trip
-repr, or a string the handler built; ``quantum_potential.csv`` writes
-``nan`` for S, Q and grad Q on singular rows.  The manifest carries the
+keys are sorted, and no timestamps enter data files.  A CSV is written
+column by column, and its bytes are those of ``str`` of each value, which
+for a float is its shortest round-trip repr.  The cells of the float64
+array columns are made together: ``repr`` is called once per distinct
+magnitude, ``-`` is put in front where the sign bit is set, and every NaN
+is written ``nan`` whatever its sign bit (the field is mirror-symmetric,
+so a scan has about half as many magnitudes as cells).  Any other column
+is a sequence of values written with ``str``.  ``quantum_potential.csv``
+writes ``nan`` for S, Q and grad Q on singular rows.  The manifest carries the
 config hash, tool version, creation time, and a checksum per emitted
 file; if a handler fails after partial writes, the manifest is still
 written with status "incomplete" and the error note attached.
@@ -16,7 +21,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +72,26 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _is_float_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _csv_cells(columns: list) -> list[list[str]]:
+    """``str`` of each value of each column; the float64 array columns
+    share one ``repr`` per distinct magnitude."""
+    arrays = [c for c in columns if _is_float_array(c)]
+    parts = iter(())
+    if arrays:
+        flat = np.concatenate(arrays)
+        magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+        texts = np.array(list(map(repr, magnitudes.tolist())), dtype=object)
+        cells = texts[inverse]
+        negative = np.signbit(flat) & ~np.isnan(flat)
+        cells[negative] = "-" + cells[negative]
+        ends = np.cumsum([a.size for a in arrays[:-1]])
+        parts = (part.tolist() for part in np.split(cells, ends))
+    return [next(parts) if _is_float_array(c) else list(map(str, c))
+            for c in columns]
 
 
 class _Emitter:
@@ -80,28 +102,32 @@ class _Emitter:
         self.records: list[dict] = []
 
     def write_text(self, name: str, text: str) -> Path:
+        data = text.encode("utf-8")
         path = self.out_dir / name
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         self.records.append({
             "path": name,
-            "sha256": _sha256(path),
-            "bytes": path.stat().st_size,
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
         })
         return path
 
     def write_json(self, name: str, doc: dict) -> Path:
         return self.write_text(name, _json_text(doc))
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
-        """Rows of Python numbers or strings; each cell is written as str."""
-        lines = [",".join(header)]
-        lines.extend(",".join(map(str, row)) for row in rows)
+    def write_csv(self, name: str, columns: dict[str, object]) -> Path:
+        """CSV of equal-length columns under their keys as the header: a
+        float64 array, or a sequence of values each written as str."""
+        cells = _csv_cells(list(columns.values()))
+        lines = [",".join(columns)]
+        lines.extend(map(",".join, zip(*cells, strict=True)))
+        del cells  # frees the cell strings before the text is built
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_records(self, name: str, records: list[dict]) -> Path:
         """CSV of dict rows; the header is the keys of the first row."""
-        return self.write_csv(name, list(records[0]),
-                              (r.values() for r in records))
+        return self.write_csv(name, {key: [r[key] for r in records]
+                                     for key in records[0]})
 
 
 def _doc(cfg: RunConfig, kind: str, body: dict) -> dict:
@@ -133,14 +159,15 @@ def _steps(cfg: RunConfig):
 def _cmd_quantum_potential(cfg: RunConfig, em: _Emitter) -> None:
     scan = _scan(cfg)
     # s is already NaN on singular rows
-    q, grad_q = (np.where(scan.singular, np.nan, a).tolist()
-                 for a in (scan.q, scan.grad_q))
-    flags = np.where(scan.singular, "singular", "ok").tolist()
-    em.write_csv("quantum_potential.csv",
-                 ["y_cm", "t_s", "R", "S_eVs", "Q_eV", "gradQ_eV_per_cm",
-                  "flag"],
-                 zip(scan.y.tolist(), repeat(str(scan.t_s)), scan.r.tolist(),
-                     scan.s.tolist(), q, grad_q, flags))
+    em.write_csv("quantum_potential.csv", {
+        "y_cm": scan.y,
+        "t_s": [str(scan.t_s)] * scan.y.size,
+        "R": scan.r,
+        "S_eVs": scan.s,
+        "Q_eV": np.where(scan.singular, np.nan, scan.q),
+        "gradQ_eV_per_cm": np.where(scan.singular, np.nan, scan.grad_q),
+        "flag": np.where(scan.singular, "singular", "ok").tolist(),
+    })
 
 
 def _cmd_valley_report(cfg: RunConfig, em: _Emitter) -> None:
@@ -161,11 +188,9 @@ def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
         traj = integrate_trajectory(exp, consts, y0, t_end,
                                     tol=cfg.trajectories.tol,
                                     n_samples=cfg.trajectories.n_samples)
-        em.write_csv(f"trajectory_{k:03d}.csv",
-                     ["t_s", "y_cm", "vy_cm_s", "ay_field", "ay_numeric"],
-                     zip(traj.t_s.tolist(), traj.y_cm.tolist(),
-                         traj.vy_cm_s.tolist(), traj.ay_field.tolist(),
-                         traj.ay_numeric.tolist()))
+        em.write_csv(f"trajectory_{k:03d}.csv", {
+            name: getattr(traj, name)
+            for name in ("t_s", "y_cm", "vy_cm_s", "ay_field", "ay_numeric")})
         if traj.halted:
             halted.append(traj.halt_reason)
     result = run_ensemble(exp, consts, cfg.ensemble.n, cfg.ensemble.seed,

@@ -40,39 +40,39 @@ def test_table1_reproduction(paper):
     for vi in PAPER_VALLEY_INPUTS:
         step = rad.spectrum_step(paper, vi)
         omega, lam, i0, p_t, p_j = TABLE1_PRINTED[vi.index]
-        assert step.omega_c_hz == pytest.approx(omega, rel=0.03)
-        assert step.lambda_c_cm == pytest.approx(lam, rel=0.03)
-        assert step.i0_ev_per_hz == pytest.approx(i0, rel=0.03)
-        assert step.power_w == pytest.approx(p_t, rel=0.03)
+        assert step.omega_c_hz == pytest.approx(omega, rel=0.03, abs=0.0)
+        assert step.lambda_c_cm == pytest.approx(lam, rel=0.03, abs=0.0)
+        assert step.i0_ev_per_hz == pytest.approx(i0, rel=0.03, abs=0.0)
+        assert step.power_w == pytest.approx(p_t, rel=0.03, abs=0.0)
         scaled = current_scaled_power(step.power_w, j_current)
         if vi.index < 4:
-            assert scaled == pytest.approx(p_j, rel=0.03)
+            assert scaled == pytest.approx(p_j, rel=0.03, abs=0.0)
         else:
             # scaling-consistent value, ten times the printed one
-            assert scaled == pytest.approx(1.25e-19, rel=0.03)
+            assert scaled == pytest.approx(1.25e-19, rel=0.03, abs=0.0)
             assert scaled / REFERENCE_ROW4_POWER_JONSSON_W == pytest.approx(
-                10.0, rel=0.05)
+                10.0, rel=0.05, abs=0.0)
 
 
 def test_headline_numbers(paper):
     p2 = rad.emission_power_from_gradq(paper, 3.06)
-    assert p2 == pytest.approx(3.27e-26, rel=0.01)
+    assert p2 == pytest.approx(3.27e-26, rel=0.01, abs=0.0)
 
     a2 = paper.acceleration_from_gradient(3.06)
     tau2 = rad.collision_time(VALLEY_ENTRY_SPEED_CM_S, a2,
                               VALLEY2_WALL_WIDTH_CM)
-    assert tau2 == pytest.approx(7.01e-11, rel=0.01)
+    assert tau2 == pytest.approx(7.01e-11, rel=0.01, abs=0.0)
 
     _, nu2 = rad.photon_energy_frequency(paper, p2, tau2)
-    assert nu2 == pytest.approx(3.45e-3, rel=0.02)
+    assert nu2 == pytest.approx(3.45e-3, rel=0.02, abs=0.0)
 
     p1 = rad.emission_power_from_gradq(paper, 9.66)
     _, nu1 = rad.photon_energy_frequency(paper, p1, 2.8e-11)
-    assert nu1 == pytest.approx(1.37e-2, rel=0.03)
+    assert nu1 == pytest.approx(1.37e-2, rel=0.03, abs=0.0)
 
     p3 = rad.emission_power_from_gradq(paper, 0.93)
     _, nu3 = rad.photon_energy_frequency(paper, p3, 1.02e-10)
-    assert nu3 == pytest.approx(4.66e-4, rel=0.03)
+    assert nu3 == pytest.approx(4.66e-4, rel=0.03, abs=0.0)
 
     p4 = rad.emission_power_from_gradq(paper, 0.8)
     _, nu4 = rad.photon_energy_frequency(paper, p4, 1.09e-10)
@@ -101,15 +101,16 @@ def test_overlap(modern):
     res = rad.gaussian_overlap(modern, rad.OverlapInput(
         delta_p_over_m_cm_s=476554.0, d_cm=2.818e-13))
     assert abs(res.probability - 1.0) < 1e-10
-    assert res.exponent_magnitude == pytest.approx(3.359e-15, rel=0.01)
+    assert res.exponent_magnitude == pytest.approx(3.359e-15, rel=0.01,
+                                                   abs=0.0)
 
 
 def test_detectability(paper, tmp_path):
-    assert cmbr_flux(2.73) == pytest.approx(3.15e-6, rel=0.005)
+    assert cmbr_flux(2.73) == pytest.approx(3.15e-6, rel=0.005, abs=0.0)
     cfg = load_config(None, {"output_dir": str(tmp_path / "det")})
     run("detectability", cfg)
     doc = json.loads((cfg.output_dir / "detectability.json").read_text())
-    assert doc["beam_flux_w_m2"] == pytest.approx(3.7e-6, rel=0.02)
+    assert doc["beam_flux_w_m2"] == pytest.approx(3.7e-6, rel=0.02, abs=0.0)
     assert doc["reference_beam_flux_w_m2"] == 1.85e-6
     assert doc["notes"]  # the factor-2 discrepancy is flagged
 

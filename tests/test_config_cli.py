@@ -1,9 +1,14 @@
+import hashlib
 import json
+import math
+from itertools import repeat
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohm_radiance.cli import main
 from bohm_radiance.config import (
@@ -13,7 +18,7 @@ from bohm_radiance.config import (
     output_schema,
 )
 from bohm_radiance.errors import ConfigError
-from bohm_radiance.runner import run
+from bohm_radiance.runner import _Emitter, run
 from bohm_radiance.trajectories import integrate_trajectory
 from bohm_radiance.wavefield import JONSSON_DEFAULTS, cross_section_scan
 
@@ -239,6 +244,72 @@ def test_trajectory_csv_round_trip(tmp_path, quick_overrides):
     header, rows = read_csv(cfg.output_dir / "trajectory_001.csv")
     for name, col in zip(header, zip(*rows)):
         np.testing.assert_array_equal(parsed(col), bits(getattr(traj, name)))
+
+
+def reference_quantum_potential_csv(scan) -> str:
+    """quantum_potential.csv built row by row, str of each cell."""
+    q, grad_q = (np.where(scan.singular, np.nan, a).tolist()
+                 for a in (scan.q, scan.grad_q))
+    flags = np.where(scan.singular, "singular", "ok").tolist()
+    rows = zip(scan.y.tolist(), repeat(scan.t_s), scan.r.tolist(),
+               scan.s.tolist(), q, grad_q, flags)
+    lines = ["y_cm,t_s,R,S_eVs,Q_eV,gradQ_eV_per_cm,flag"]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("x_cm", [None, 2.0], ids=["default", "2cm"])
+def test_quantum_potential_csv_bytes(tmp_path, x_cm):
+    # 2 cm has singular rows; the manifest holds the checksum of the bytes
+    extra = {"experiment": {"cross_section_x_cm": x_cm}} if x_cm else None
+    cfg, manifest = run_subcommand(tmp_path, "quantum-potential", extra=extra)
+    scan = cross_section_scan(cfg.experiment, cfg.consts,
+                              cfg.experiment.cross_section_x_cm,
+                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+    data = (cfg.output_dir / "quantum_potential.csv").read_bytes()
+    assert data == reference_quantum_potential_csv(scan).encode("utf-8")
+    assert manifest.files == [{"path": "quantum_potential.csv",
+                               "sha256": hashlib.sha256(data).hexdigest(),
+                               "bytes": len(data)}]
+
+
+SPECIAL_FLOATS = [0.0, math.inf, math.nan, 5e-324, 2.0**-1030,
+                  2.2250738585072014e-308, 1.0, 0.1, 1e16, 1e-5]
+
+
+@st.composite
+def csv_columns(draw):
+    """Float64 columns drawn from a few magnitudes with a random sign bit
+    per cell, so values repeat and appear exactly negated (NaN too), and
+    one column of ints at a random place."""
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                         min_size=1, max_size=6))
+    n_rows = draw(st.integers(1, 20))
+    cell = st.builds(math.copysign, st.sampled_from(pool),
+                     st.sampled_from([1.0, -1.0]))
+    columns = {f"f{k}": np.array(draw(st.lists(cell, min_size=n_rows,
+                                               max_size=n_rows)))
+               for k in range(draw(st.integers(1, 4)))}
+    names = list(columns)
+    names.insert(draw(st.integers(0, len(names))), "row")
+    columns["row"] = list(range(n_rows))
+    return {name: columns[name] for name in names}
+
+
+@settings(deadline=None)
+@given(columns=csv_columns())
+def test_csv_cells_are_str_of_each_value(tmp_path_factory, columns):
+    out = tmp_path_factory.getbasetemp() / "csv_cells"
+    out.mkdir(exist_ok=True)
+    path = _Emitter(out).write_csv("cells.csv", columns)
+    header, *rows = (line.split(",")
+                     for line in path.read_text().splitlines())
+    assert header == list(columns)
+    for name, cells in zip(header, zip(*rows)):
+        values = columns[name]
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        assert list(cells) == [str(v) for v in values]
 
 
 def test_compare_copenhagen_column_zero(tmp_path, quick_overrides):

@@ -35,10 +35,10 @@ def test_copenhagen_matches_ensemble_mean(exp, paper):
 # emission power
 
 def test_emission_power_reference_points(paper):
-    assert rad.emission_power(paper, 5.39e15) == pytest.approx(3.27e-26,
-                                                               rel=0.01)
-    assert rad.emission_power(paper, 1.70e16) == pytest.approx(3.25e-25,
-                                                               rel=0.01)
+    assert rad.emission_power(paper, 5.39e15) == pytest.approx(
+        3.27e-26, rel=0.01, abs=0.0)
+    assert rad.emission_power(paper, 1.70e16) == pytest.approx(
+        3.25e-25, rel=0.01, abs=0.0)
     assert rad.emission_power(paper, 0.0) == 0.0
     with pytest.raises(DomainError):
         rad.emission_power(paper, float("nan"))
@@ -46,11 +46,11 @@ def test_emission_power_reference_points(paper):
 
 def test_emission_power_from_gradq_reference_points(paper):
     assert rad.emission_power_from_gradq(paper, 3.06) == pytest.approx(
-        3.27e-26, rel=0.01)
+        3.27e-26, rel=0.01, abs=0.0)
     assert rad.emission_power_from_gradq(paper, 0.93) == pytest.approx(
-        3.02e-27, rel=0.01)
+        3.02e-27, rel=0.01, abs=0.0)
     assert rad.emission_power_from_gradq(paper, 0.8) == pytest.approx(
-        2.23e-27, rel=0.01)
+        2.23e-27, rel=0.01, abs=0.0)
 
 
 def test_emission_power_paths_identical(paper):
@@ -66,28 +66,29 @@ def test_emission_power_paths_identical(paper):
 def test_collision_time_reference(paper):
     a2 = paper.acceleration_from_gradient(3.06)
     tau = rad.collision_time(1.5e4, a2, 1.0e-4 / 7.0)
-    assert tau == pytest.approx(7.01e-11, rel=0.01)
+    assert tau == pytest.approx(7.01e-11, rel=0.01, abs=0.0)
 
 
 def test_collision_time_satisfies_quadratic(paper):
     v0, dy = 1.5e4, 1.0e-4 / 7.0
     a = paper.acceleration_from_gradient(3.06)
     tau = rad.collision_time(v0, a, dy)
-    assert v0 * tau + 0.5 * a * tau * tau == pytest.approx(dy, rel=1e-12)
+    assert v0 * tau + 0.5 * a * tau * tau == pytest.approx(dy, rel=1e-12,
+                                                           abs=0.0)
 
 
 def test_collision_time_ballistic_limit():
-    assert rad.collision_time(2.0e4, 0.0, 1e-5) == pytest.approx(5e-10,
-                                                                 rel=1e-12)
+    assert rad.collision_time(2.0e4, 0.0, 1e-5) == pytest.approx(
+        5e-10, rel=1e-12, abs=0.0)
     # continuity as a -> 0
     assert rad.collision_time(2.0e4, 1e-3, 1e-5) == pytest.approx(
-        5e-10, rel=1e-9)
+        5e-10, rel=1e-9, abs=0.0)
 
 
 def test_collision_time_free_fall():
     a, dy = 5.0e15, 1e-5
     assert rad.collision_time(0.0, a, dy) == pytest.approx(
-        math.sqrt(2.0 * dy / a), rel=1e-12)
+        math.sqrt(2.0 * dy / a), rel=1e-12, abs=0.0)
 
 
 def test_collision_time_domain_errors():
@@ -104,10 +105,10 @@ def test_collision_time_domain_errors():
 
 def test_photon_energy_frequency_reference(paper):
     energy, nu = rad.photon_energy_frequency(paper, 3.27e-26, 7.01e-11)
-    assert energy == pytest.approx(2.29e-36, rel=0.01)
-    assert nu == pytest.approx(3.45e-3, rel=0.01)
+    assert energy == pytest.approx(2.29e-36, rel=0.01, abs=0.0)
+    assert nu == pytest.approx(3.45e-3, rel=0.01, abs=0.0)
     energy, nu = rad.photon_energy_frequency(paper, 3.25e-25, 2.8e-11)
-    assert nu == pytest.approx(1.37e-2, rel=0.01)
+    assert nu == pytest.approx(1.37e-2, rel=0.01, abs=0.0)
     assert rad.photon_energy_frequency(paper, 0.0, 1e-11) == (0.0, 0.0)
     with pytest.raises(DomainError):
         rad.photon_energy_frequency(paper, 1e-26, 0.0)
@@ -118,17 +119,17 @@ def test_photon_energy_frequency_reference(paper):
 
 def test_spectrum_step_valley1(paper):
     step = rad.spectrum_step(paper, PAPER_VALLEY_INPUTS[0])
-    assert step.omega_c_hz == pytest.approx(3.57e10, rel=0.01)
-    assert step.lambda_c_cm == pytest.approx(0.84, rel=0.01)
-    assert step.i0_ev_per_hz == pytest.approx(1.63e-27, rel=0.03)
-    assert step.power_w == pytest.approx(3.25e-25, rel=0.01)
+    assert step.omega_c_hz == pytest.approx(3.57e10, rel=0.01, abs=0.0)
+    assert step.lambda_c_cm == pytest.approx(0.84, rel=0.01, abs=0.0)
+    assert step.i0_ev_per_hz == pytest.approx(1.63e-27, rel=0.03, abs=0.0)
+    assert step.power_w == pytest.approx(3.25e-25, rel=0.01, abs=0.0)
 
 
 def test_spectrum_step_valley3(paper):
     step = rad.spectrum_step(paper, PAPER_VALLEY_INPUTS[2])
-    assert step.omega_c_hz == pytest.approx(9.8e9, rel=0.01)
-    assert step.lambda_c_cm == pytest.approx(3.06, rel=0.01)
-    assert step.i0_ev_per_hz == pytest.approx(2e-28, rel=0.03)
+    assert step.omega_c_hz == pytest.approx(9.8e9, rel=0.01, abs=0.0)
+    assert step.lambda_c_cm == pytest.approx(3.06, rel=0.01, abs=0.0)
+    assert step.i0_ev_per_hz == pytest.approx(2e-28, rel=0.03, abs=0.0)
 
 
 def test_spectrum_step_degenerate(paper):
@@ -142,9 +143,10 @@ def test_spectrum_step_degenerate(paper):
 def test_spectrum_step_invariants(paper):
     for vi in PAPER_VALLEY_INPUTS:
         step = rad.spectrum_step(paper, vi)
-        assert step.omega_c_hz * step.tau_s == pytest.approx(1.0, rel=1e-12)
+        assert step.omega_c_hz * step.tau_s == pytest.approx(1.0, rel=1e-12,
+                                                             abs=0.0)
         assert step.lambda_c_cm * step.omega_c_hz == pytest.approx(
-            paper.c_cm_s, rel=1e-12)
+            paper.c_cm_s, rel=1e-12, abs=0.0)
         # I0 = P tau^2 in consistent (eV) units; approx's default abs of
         # 1e-12 would pass any I0 near 1e-27, so it is turned off
         assert step.i0_ev_per_hz == pytest.approx(
@@ -168,7 +170,7 @@ def test_heuristic_power_is_exact_up_to_prefactor(paper):
         heuristic_ev = paper.alpha * paper.hbar_ev_s \
             * (step.delta_v_cm_s / paper.c_cm_s) ** 2 / step.tau_s
         ratio = leg_energy_ev / heuristic_ev
-        assert ratio == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert ratio == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0.0)
         assert 0.1 < ratio < 10.0
 
 
@@ -189,7 +191,8 @@ def test_valley_input_validation():
 def test_overlap_reference_value(modern):
     res = rad.gaussian_overlap(modern, rad.OverlapInput(
         delta_p_over_m_cm_s=476554.0, d_cm=2.818e-13))
-    assert res.exponent_magnitude == pytest.approx(3.359e-15, rel=0.01)
+    assert res.exponent_magnitude == pytest.approx(3.359e-15, rel=0.01,
+                                                   abs=0.0)
     assert abs(res.probability - 1.0) < 1e-10
 
 
@@ -236,7 +239,7 @@ def test_angular_factor_limits():
 def test_angular_factor_solid_angle_integral():
     total, _ = quad(lambda th: rad.angular_factor(th) * 2.0 * math.pi
                     * math.sin(th), 0.0, math.pi)
-    assert total == pytest.approx(8.0 * math.pi / 3.0, rel=1e-9)
+    assert total == pytest.approx(8.0 * math.pi / 3.0, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def test_radiated_energy_constant_acceleration_oracle(paper):
     traj = synthetic_trajectory(t, np.full_like(t, 1e-5), np.full_like(t, a0))
     out = rad.trajectory_radiated_energy(paper, traj)
     assert out.total_j == pytest.approx(
-        rad.emission_power(paper, a0) * tau, rel=1e-6)
+        rad.emission_power(paper, a0) * tau, rel=1e-6, abs=0.0)
 
 
 def test_radiated_energy_straight_segment(paper):

@@ -19,7 +19,8 @@ def test_paper_preset_exact_values(paper):
 def test_modern_preset_values(modern):
     assert modern.hbar_ev_s == 6.582119569e-16
     assert modern.c_cm_s == 2.99792458e10
-    assert modern.alpha == pytest.approx(1.0 / 137.035999084, rel=1e-9)
+    assert modern.alpha == pytest.approx(1.0 / 137.035999084, rel=1e-9,
+                                         abs=0.0)
     assert modern.planck_h_j_s == 6.62607015e-34
 
 
@@ -35,19 +36,20 @@ def test_constants_immutable(paper):
 
 def test_larmor_prefactor_paper_value(paper):
     # (4/3) alpha hbar / c^2 printed to three significant figures
-    assert paper.larmor_prefactor == pytest.approx(7.03e-39, rel=5e-4)
+    assert paper.larmor_prefactor == pytest.approx(7.03e-39, rel=5e-4, abs=0.0)
 
 
 def test_derived_mass_and_acceleration(paper):
-    assert paper.electron_mass == pytest.approx(0.511e6 / 9.0e20, rel=1e-12)
+    assert paper.electron_mass == pytest.approx(0.511e6 / 9.0e20, rel=1e-12,
+                                                abs=0.0)
     assert paper.acceleration_from_gradient(3.06) == pytest.approx(
-        5.39e15, rel=1e-3)
+        5.39e15, rel=1e-3, abs=0.0)
 
 
 def test_speed_from_kinetic_energy(paper):
     v = paper.speed_from_kinetic_energy(45.0e3)
     # v/c = sqrt(2 * 45e3 / 511e3)
     assert v / paper.c_cm_s == pytest.approx((2 * 45e3 / 0.511e6) ** 0.5,
-                                             rel=1e-12)
+                                             rel=1e-12, abs=0.0)
     with pytest.raises(ConfigError):
         paper.speed_from_kinetic_energy(-1.0)
