@@ -4,6 +4,10 @@
                   [--mode reproduction|simulation] [--out DIR]
                   [--n N] [--seed S] [--t-end T] [--y0-list a,b,...]
 
+A list that starts with a negative launch takes the ``=`` form,
+``--y0-list=-4.9e-5,4.9e-5``: argparse reads a separate value that
+starts with ``-`` as an option.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
 """
@@ -39,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-end", type=float, dest="t_end",
                         help="integration end time in seconds")
     parser.add_argument("--y0-list", dest="y0_list",
-                        help="comma-separated launch positions in cm")
+                        help=("comma-separated launch positions in cm; "
+                              "write --y0-list=-4.9e-5,4.9e-5 when the "
+                              "first is negative"))
     return parser
 
 

@@ -37,8 +37,8 @@ CMBR_TEMPERATURE_K = 2.73
 
 # Detectability patch: one fringe separation wide (7000 angstrom) and ten
 # separations tall.
-DEFAULT_PATCH_WIDTH_M = 7.0e-7
-DEFAULT_PATCH_HEIGHT_M = 7.0e-6
+PATCH_WIDTH_M = 7.0e-7
+PATCH_HEIGHT_M = 7.0e-6
 
 # Published flux the derived value is reported against; the derived
 # number is about twice this and the gap is flagged in outputs because
@@ -89,51 +89,34 @@ class BeamCurrent:
             raise ConfigError("beam current must be non-negative")
 
 
-def beam_current_from_rate(consts: PhysicalConstants, label: str,
-                           electrons_per_second: float) -> BeamCurrent:
+def tonomura_current(consts: PhysicalConstants) -> BeamCurrent:
+    """The 1e3 e-/s single-electron-regime reference current."""
     return BeamCurrent(
-        label=label,
-        electrons_per_second=electrons_per_second,
-        amperes=electrons_per_second * consts.electron_charge_c,
+        label="tonomura",
+        electrons_per_second=TONOMURA_RATE_E_PER_S,
+        amperes=TONOMURA_RATE_E_PER_S * consts.electron_charge_c,
     )
 
 
-def tonomura_current(consts: PhysicalConstants) -> BeamCurrent:
-    """The 1e3 e-/s single-electron-regime reference current."""
-    return beam_current_from_rate(consts, "tonomura", TONOMURA_RATE_E_PER_S)
-
-
-def jonsson_current(consts: PhysicalConstants,
-                    j_ma_cm2: float = JONSSON_CURRENT_DENSITY_MA_CM2,
-                    slit_width_cm: float = JONSSON_SLIT_WIDTH_CM,
-                    slit_height_cm: float = JONSSON_SLIT_HEIGHT_CM,
-                    n_slits: int = 2) -> BeamCurrent:
-    """Total electron rate j * S through n_slits apertures."""
-    if j_ma_cm2 < 0.0 or slit_width_cm <= 0.0 or slit_height_cm <= 0.0:
-        raise ConfigError("current density and slit dimensions must be positive")
-    if n_slits < 0:
-        raise ConfigError("n_slits must be >= 0")
-    area_cm2 = n_slits * slit_width_cm * slit_height_cm
-    amperes = j_ma_cm2 * 1.0e-3 * area_cm2
+def jonsson_current(consts: PhysicalConstants) -> BeamCurrent:
+    """Total electron rate j * S through the two Jonsson apertures."""
+    area_cm2 = 2 * JONSSON_SLIT_WIDTH_CM * JONSSON_SLIT_HEIGHT_CM
+    amperes = JONSSON_CURRENT_DENSITY_MA_CM2 * 1.0e-3 * area_cm2
     rate = amperes / consts.electron_charge_c
     return BeamCurrent(label="jonsson", electrons_per_second=rate,
                        amperes=amperes)
 
 
-def current_scaled_power(p_single_w: float, current: BeamCurrent,
-                         reference_rate: float = TONOMURA_RATE_E_PER_S
-                         ) -> float:
+def current_scaled_power(p_single_w: float, current: BeamCurrent) -> float:
     """Scale a power quoted at the reference rate linearly in the current."""
     if p_single_w < 0.0:
         raise ConfigError("power must be non-negative")
-    return p_single_w * current.electrons_per_second / reference_rate
+    return p_single_w * current.electrons_per_second / TONOMURA_RATE_E_PER_S
 
 
-def cmbr_flux(temperature_k: float = CMBR_TEMPERATURE_K) -> float:
-    """Stefan-Boltzmann flux sigma T^4, in W/m^2."""
-    if temperature_k <= 0.0:
-        raise ConfigError("temperature must be positive")
-    return STEFAN_BOLTZMANN_W_M2_K4 * temperature_k**4
+def cmbr_flux() -> float:
+    """Stefan-Boltzmann flux sigma T^4 at the CMB temperature, in W/m^2."""
+    return STEFAN_BOLTZMANN_W_M2_K4 * CMBR_TEMPERATURE_K**4
 
 
 @dataclass(frozen=True)
@@ -152,19 +135,14 @@ class FluxComparison:
             raise ConfigError("patch dimensions must be positive")
 
 
-def beam_flux(power_w: float,
-              patch_width_m: float = DEFAULT_PATCH_WIDTH_M,
-              patch_height_m: float = DEFAULT_PATCH_HEIGHT_M
-              ) -> FluxComparison:
+def beam_flux(power_w: float) -> FluxComparison:
     """Flux of a radiated power spread over the screen patch, vs CMB."""
     if power_w < 0.0:
         raise ConfigError("power must be non-negative")
-    if patch_width_m <= 0.0 or patch_height_m <= 0.0:
-        raise ConfigError("patch dimensions must be positive")
-    flux = power_w / (patch_width_m * patch_height_m)
+    flux = power_w / (PATCH_WIDTH_M * PATCH_HEIGHT_M)
     return FluxComparison(
         beam_flux_w_m2=flux,
         cmbr_flux_w_m2=cmbr_flux(),
-        patch_width_m=patch_width_m,
-        patch_height_m=patch_height_m,
+        patch_width_m=PATCH_WIDTH_M,
+        patch_height_m=PATCH_HEIGHT_M,
     )

@@ -172,7 +172,7 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     else:
         tau = collision_time(vi.v0_cm_s, a, vi.dy_cm)
     delta_v = a * tau
-    power_w = consts.larmor_prefactor * a * a * consts.ev_to_joule
+    power_w = emission_power(consts, a)
     i0 = consts.larmor_prefactor * delta_v * delta_v
     energy_j, nu = photon_energy_frequency(consts, power_w, tau)
     return SpectrumStep(
@@ -250,17 +250,16 @@ class RadiatedEnergy:
 
 
 def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
-                               exp: SlitExperiment | None = None
-                               ) -> RadiatedEnergy:
+                               exp: SlitExperiment) -> RadiatedEnergy:
     """Energy radiated along a trajectory, in J.
 
     Integrates P(t) = (4/3)(alpha hbar/c^2) a(t)^2 over the recorded
-    samples by the trapezoid rule.  When the experiment is supplied, the
-    integral is also split into per-valley partial sums keyed by the
-    valley band of the instantaneous position: in the scaled fringe
-    coordinate eta = |y| xi(t) / pi the k-th trough sits at eta = 2k - 1
-    between crests at 2k - 2 and 2k, so band k covers eta in [2k-2, 2k);
-    before fringes develop (xi -> 0) everything maps to band 1.
+    samples by the trapezoid rule, and splits the integral into
+    per-valley partial sums keyed by the valley band of the instantaneous
+    position: in the scaled fringe coordinate eta = |y| xi(t) / pi the
+    k-th trough sits at eta = 2k - 1 between crests at 2k - 2 and 2k, so
+    band k covers eta in [2k-2, 2k); before fringes develop (xi -> 0)
+    everything maps to band 1.
     """
     if not traj.valid:
         raise NumericalError(
@@ -271,44 +270,37 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
             "trajectory carries non-finite acceleration samples")
     p_ev_s = consts.larmor_prefactor * a * a
     total = trapezoid(p_ev_s, traj.t_s) * consts.ev_to_joule
-    per_valley: dict[int, float] = {}
-    if exp is not None and len(traj.t_s) >= 2:
-        xi = interference_wavenumber(exp, consts, traj.t_s)
-        eta = np.abs(traj.y_cm) * xi / math.pi
-        k = np.floor(eta / 2.0).astype(int) + 1
-        # trapezoid weight of each sample: half of each adjacent interval
-        dt = np.diff(traj.t_s)
-        weight = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
-        band_j = np.bincount(k, weights=weight * p_ev_s) * consts.ev_to_joule
-        per_valley = {int(kk): float(band_j[kk])
-                      for kk in np.flatnonzero(np.bincount(k))}
+    xi = interference_wavenumber(exp, consts, traj.t_s)
+    eta = np.abs(traj.y_cm) * xi / math.pi
+    k = np.floor(eta / 2.0).astype(int) + 1
+    # trapezoid weight of each sample: half of each adjacent interval
+    dt = np.diff(traj.t_s)
+    weight = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
+    band_j = np.bincount(k, weights=weight * p_ev_s) * consts.ev_to_joule
+    per_valley = {int(kk): float(band_j[kk])
+                  for kk in np.flatnonzero(np.bincount(k))}
     return RadiatedEnergy(total_j=float(total), per_valley_j=per_valley)
 
 
 # ---------------------------------------------------------------------------
 # Ensemble (statistical) prediction
 
+# Quadrature points of the ensemble mean over y in [-(Y + 8 sigma_t),
+# Y + 8 sigma_t]; the probability mass outside is at most erfc(8/sqrt 2),
+# about 1.2e-15.
+ENSEMBLE_MEAN_POINTS = 2 ** 15 + 1
+
+
 def ensemble_mean_gradient(exp: SlitExperiment, consts: PhysicalConstants,
-                           t: float, y_half_range_cm: float | None = None,
-                           n_points: int = 2 ** 15 + 1) -> float:
+                           t: float) -> float:
     """Quadrature of integral rho gradQ dy with rho = |psi|^2, in eV/cm.
 
     Vanishes (to quadrature accuracy) for any normalizable state: the
-    statistical form of the pilot-wave prediction.  Raises if more than
-    1e-6 of the probability mass lies outside the integration range.
+    statistical form of the pilot-wave prediction.
     """
-    st = sigma_t(exp, consts, t)
-    if y_half_range_cm is None:
-        y_half_range_cm = exp.slit_half_separation_cm + 8.0 * st
-    # Tail mass estimate from the Gaussian envelopes of the two packets.
-    yy = exp.slit_half_separation_cm
-    tail = 0.5 * (math.erfc((y_half_range_cm - yy) / (math.sqrt(2.0) * st))
-                  + math.erfc((y_half_range_cm + yy) / (math.sqrt(2.0) * st)))
-    if tail > 1.0e-6:
-        raise ConfigError(
-            f"integration range leaves {tail:.2e} of the probability mass "
-            "outside; widen y_half_range_cm")
-    y = symmetric_grid(y_half_range_cm, n_points)
+    y_half_range_cm = exp.slit_half_separation_cm \
+        + 8.0 * sigma_t(exp, consts, t)
+    y = symmetric_grid(y_half_range_cm, ENSEMBLE_MEAN_POINTS)
     p = _psi_derivs(exp, consts, y, t)[0]
     rho = (p * p.conjugate()).real
     gq = grad_quantum_potential(exp, consts, y, t)
@@ -316,8 +308,7 @@ def ensemble_mean_gradient(exp: SlitExperiment, consts: PhysicalConstants,
 
 
 def ensemble_mean_power(exp: SlitExperiment, consts: PhysicalConstants,
-                        t: float, y_half_range_cm: float | None = None,
-                        n_points: int = 2 ** 15 + 1) -> float:
+                        t: float) -> float:
     """Statistical emission power over rho = |psi|^2, in W.
 
     The ensemble prediction is controlled by the mean quantum force,
@@ -325,8 +316,7 @@ def ensemble_mean_power(exp: SlitExperiment, consts: PhysicalConstants,
     evaluated on the mean gradient) vanishes to quadrature accuracy,
     matching the Copenhagen zero while individual trajectories radiate.
     """
-    mean_grad = ensemble_mean_gradient(exp, consts, t, y_half_range_cm,
-                                       n_points)
+    mean_grad = ensemble_mean_gradient(exp, consts, t)
     return emission_power_from_gradq(consts, abs(mean_grad))
 
 

@@ -208,12 +208,11 @@ class EnsembleResult:
     valid: bool
 
 
-def _density_grid(exp: SlitExperiment, consts: PhysicalConstants, t: float,
-                  n_grid: int = CDF_GRID_POINTS):
+def _density_grid(exp: SlitExperiment, consts: PhysicalConstants, t: float):
     """Dense y grid and normalized CDF of |psi(y, t)|^2."""
     half = exp.slit_half_separation_cm \
         + GRID_PADDING_SIGMAS * sigma_t(exp, consts, t)
-    y = np.linspace(-half, half, n_grid)
+    y = np.linspace(-half, half, CDF_GRID_POINTS)
     p = _psi_derivs(exp, consts, y, t)[0]
     pdf = (p * p.conjugate()).real
     cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, y)])

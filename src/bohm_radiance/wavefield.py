@@ -158,12 +158,9 @@ def make_experiment(consts: PhysicalConstants,
     )
 
 
-def jonsson_experiment(consts: PhysicalConstants,
-                       **overrides) -> SlitExperiment:
+def jonsson_experiment(consts: PhysicalConstants) -> SlitExperiment:
     """The calibrated 45 keV default setup."""
-    params = dict(JONSSON_DEFAULTS)
-    params.update(overrides)
-    return make_experiment(consts, **params)
+    return make_experiment(consts, **JONSSON_DEFAULTS)
 
 
 # ---------------------------------------------------------------------------

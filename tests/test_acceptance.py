@@ -106,7 +106,7 @@ def test_overlap(modern):
 
 
 def test_detectability(paper, tmp_path):
-    assert cmbr_flux(2.73) == pytest.approx(3.15e-6, rel=0.005, abs=0.0)
+    assert cmbr_flux() == pytest.approx(3.15e-6, rel=0.005, abs=0.0)
     cfg = load_config(None, {"output_dir": str(tmp_path / "det")})
     run("detectability", cfg)
     doc = json.loads((cfg.output_dir / "detectability.json").read_text())

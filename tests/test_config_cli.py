@@ -438,6 +438,21 @@ def test_cli_y0_list_parsing(tmp_path):
     assert summary["seed"] == 3
 
 
+def test_cli_negative_y0_list_with_equals(tmp_path):
+    # "--y0-list -4.9e-5,4.9e-5" is a usage error: argparse takes a value
+    # that starts with "-" and is not a plain number for an option.  The
+    # "=" form carries it.
+    out = tmp_path / "trajs"
+    code = main(["simulate-trajectories", "--out", str(out),
+                 "--n", "100", "--t-end", "5e-10",
+                 "--y0-list=-4.9e-5,4.9e-5"])
+    assert code == 0
+    first = (out / "trajectory_001.csv").read_text().splitlines()[1]
+    second = (out / "trajectory_002.csv").read_text().splitlines()[1]
+    assert first.split(",")[1] == "-4.9e-05"
+    assert second.split(",")[1] == "4.9e-05"
+
+
 @pytest.mark.parametrize("argv, payload, path", [
     (["simulate-trajectories", "--t-end", "nan"], None,
      "$.ensemble.t_end_s"),

@@ -257,39 +257,39 @@ def synthetic_trajectory(t, y, a, v=None):
     )
 
 
-def test_radiated_energy_constant_acceleration_oracle(paper):
+def test_radiated_energy_constant_acceleration_oracle(exp, paper):
     tau = 7.0e-11
     a0 = 5.39e15
     t = np.linspace(0.0, tau, 64)
     traj = synthetic_trajectory(t, np.full_like(t, 1e-5), np.full_like(t, a0))
-    out = rad.trajectory_radiated_energy(paper, traj)
+    out = rad.trajectory_radiated_energy(paper, traj, exp)
     assert out.total_j == pytest.approx(
         rad.emission_power(paper, a0) * tau, rel=1e-6, abs=0.0)
 
 
-def test_radiated_energy_straight_segment(paper):
+def test_radiated_energy_straight_segment(exp, paper):
     t = np.linspace(0.0, 1e-10, 32)
     traj = synthetic_trajectory(t, np.full_like(t, 1e-5), np.zeros_like(t))
-    assert rad.trajectory_radiated_energy(paper, traj).total_j == 0.0
+    assert rad.trajectory_radiated_energy(paper, traj, exp).total_j == 0.0
 
 
-def test_radiated_energy_rejects_invalid(paper):
+def test_radiated_energy_rejects_invalid(exp, paper):
     t = np.linspace(0.0, 1e-10, 8)
     traj = synthetic_trajectory(t, np.full_like(t, 1e-5), np.zeros_like(t))
     traj.halted = True
     traj.halt_reason = "testing"
     with pytest.raises(NumericalError):
-        rad.trajectory_radiated_energy(paper, traj)
+        rad.trajectory_radiated_energy(paper, traj, exp)
     traj2 = synthetic_trajectory(t, np.full_like(t, 1e-5),
                                  np.full_like(t, np.nan))
     with pytest.raises(NumericalError, match="non-finite acceleration"):
-        rad.trajectory_radiated_energy(paper, traj2)
+        rad.trajectory_radiated_energy(paper, traj2, exp)
 
 
 def test_radiated_energy_valley_partition_sums_to_total(exp, paper):
     traj = tr.integrate_trajectory(exp, paper, 4.9e-5,
                                    exp.time_of_flight_s, n_samples=4096)
-    out = rad.trajectory_radiated_energy(paper, traj, exp=exp)
+    out = rad.trajectory_radiated_energy(paper, traj, exp)
     assert out.per_valley_j
     assert sum(out.per_valley_j.values()) == pytest.approx(out.total_j,
                                                            rel=1e-9, abs=0.0)
@@ -301,7 +301,7 @@ def test_radiated_energy_per_valley_matches_masked_trapezoids(exp, paper):
     # band with every other band's power masked to zero
     traj = tr.integrate_trajectory(exp, paper, 4.9e-5,
                                    exp.time_of_flight_s, n_samples=262144)
-    out = rad.trajectory_radiated_energy(paper, traj, exp=exp)
+    out = rad.trajectory_radiated_energy(paper, traj, exp)
     xi = wf.interference_wavenumber(exp, paper, traj.t_s)
     band = np.floor(np.abs(traj.y_cm) * xi / math.pi / 2.0).astype(int) + 1
     p_w = paper.larmor_prefactor * traj.ay_field**2 * paper.ev_to_joule
@@ -319,7 +319,7 @@ def test_radiated_energy_through_valley_two(exp, paper):
     # the closed-form reference is twice the per-leg energy P2 tau2
     traj = tr.integrate_trajectory(exp, paper, 4.9e-5,
                                    exp.time_of_flight_s, n_samples=16384)
-    out = rad.trajectory_radiated_energy(paper, traj, exp=exp)
+    out = rad.trajectory_radiated_energy(paper, traj, exp)
     e2 = out.per_valley_j.get(2, 0.0)
     reference = 2.0 * 3.27e-26 * 7.01e-11
     assert reference / 10.0 < e2 < reference * 10.0
@@ -353,11 +353,6 @@ def test_ensemble_mean_power_below_valley_power(exp, paper):
     p1 = rad.emission_power_from_gradq(paper, 9.66)
     assert rad.ensemble_mean_power(exp, paper, t) < 1e-6 * p1
 
-
-def test_ensemble_mean_range_guard(exp, paper):
-    t = exp.section_time_s(18.0)
-    with pytest.raises(ConfigError, match="probability mass"):
-        rad.ensemble_mean_gradient(exp, paper, t, y_half_range_cm=2.0e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,11 @@ def test_speed_consistency_guard(paper):
 
 def test_geometry_guards(paper):
     with pytest.raises(ConfigError):
-        wf.jonsson_experiment(paper, cross_section_x_cm=40.0)
+        wf.make_experiment(paper, **{**wf.JONSSON_DEFAULTS,
+                                     "cross_section_x_cm": 40.0})
     with pytest.raises(ConfigError):
-        wf.jonsson_experiment(paper, packet_width_cm=-1.0)
+        wf.make_experiment(paper, **{**wf.JONSSON_DEFAULTS,
+                                     "packet_width_cm": -1.0})
     with pytest.raises(ConfigError):
         wf.make_experiment(
             paper, slit_half_separation_cm=0.0, packet_width_cm=3.5e-6,
