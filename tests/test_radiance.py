@@ -275,15 +275,10 @@ def test_radiated_energy_straight_segment(exp, paper):
 
 def test_radiated_energy_rejects_invalid(exp, paper):
     t = np.linspace(0.0, 1e-10, 8)
-    traj = synthetic_trajectory(t, np.full_like(t, 1e-5), np.zeros_like(t))
-    traj.halted = True
-    traj.halt_reason = "testing"
-    with pytest.raises(NumericalError):
-        rad.trajectory_radiated_energy(paper, traj, exp)
-    traj2 = synthetic_trajectory(t, np.full_like(t, 1e-5),
-                                 np.full_like(t, np.nan))
+    traj = synthetic_trajectory(t, np.full_like(t, 1e-5),
+                                np.full_like(t, np.nan))
     with pytest.raises(NumericalError, match="non-finite acceleration"):
-        rad.trajectory_radiated_energy(paper, traj2, exp)
+        rad.trajectory_radiated_energy(paper, traj, exp)
 
 
 def test_radiated_energy_valley_partition_sums_to_total(exp, paper):
