@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ConfigError, DomainError, NumericalError
 from .units import PhysicalConstants
@@ -98,7 +97,17 @@ def collision_time(v0_cm_s: float, a_cm_s2: float, dy_cm: float) -> float:
     if a_cm_s2 == 0.0 and v0_cm_s == 0.0:
         raise DomainError("no positive traversal time for v0 = 0 and a = 0")
     # Stable form of the quadratic root (no cancellation as a -> 0).
-    return 2.0 * dy_cm / (v0_cm_s + math.sqrt(v0_cm_s**2 + 2.0 * a_cm_s2 * dy_cm))
+    try:
+        disc = v0_cm_s**2 + 2.0 * a_cm_s2 * dy_cm
+    except OverflowError:  # float ** raises where * would give inf
+        disc = math.inf
+    if disc < math.inf:
+        return 2.0 * dy_cm / (v0_cm_s + math.sqrt(disc))
+    # Where v0^2 + 2 a dy overflows, the same root with the terms halved
+    # under hypot: tau = dy / (v0/2 + sqrt((v0/2)^2 + (a/2) dy)).
+    half_v0 = 0.5 * v0_cm_s
+    return dy_cm / (half_v0 + math.hypot(
+        half_v0, math.sqrt(0.5 * a_cm_s2) * math.sqrt(dy_cm)))
 
 
 def photon_energy_frequency(consts: PhysicalConstants, power_w: float,
@@ -171,6 +180,10 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
         tau = vi.tau_s
     else:
         tau = collision_time(vi.v0_cm_s, a, vi.dy_cm)
+        if tau == 0.0:
+            raise DomainError(
+                f"valley {vi.index}: tau_s is 0.0; the inputs overflow or "
+                "underflow double precision")
     delta_v = a * tau
     power_w = emission_power(consts, a)
     i0 = consts.larmor_prefactor * delta_v * delta_v
@@ -273,7 +286,7 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
         raise NumericalError(
             "trajectory carries non-finite acceleration samples")
     p_ev_s = consts.larmor_prefactor * a * a
-    total = trapezoid(p_ev_s, traj.t_s) * consts.ev_to_joule
+    total = np.trapezoid(p_ev_s, traj.t_s) * consts.ev_to_joule
     xi = interference_wavenumber(exp, consts, traj.t_s)
     eta = np.abs(traj.y_cm) * xi / math.pi
     k = np.floor(eta / 2.0).astype(int) + 1
@@ -308,7 +321,7 @@ def ensemble_mean_gradient(exp: SlitExperiment, consts: PhysicalConstants,
     p = _psi_derivs(exp, consts, y, t)[0]
     rho = (p * p.conjugate()).real
     gq = grad_quantum_potential(exp, consts, y, t)
-    return float(trapezoid(rho * gq, y) / trapezoid(rho, y))
+    return float(np.trapezoid(rho * gq, y) / np.trapezoid(rho, y))
 
 
 def ensemble_mean_power(exp: SlitExperiment, consts: PhysicalConstants,

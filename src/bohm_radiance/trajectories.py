@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
 
 from .errors import ConfigError, NumericalError
 from .units import PhysicalConstants
@@ -63,7 +62,36 @@ DEFAULT_TOL = 1.0e-9
 CDF_GRID_POINTS = 2 ** 16
 # Half-range of sampling/comparison grids, in packet widths beyond the slit.
 GRID_PADDING_SIGMAS = 10.0
-# Step-size control of transport, as scipy's RK45 applies it to one path.
+# The Dormand-Prince 5(4) tableau of transport (Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.4): nodes C, stage matrix A, weights B, error
+# weights E, dense-output matrix P and the error estimator's order.  A
+# test pins them to scipy's RK45 bit for bit.
+C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+              1/40])
+P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+ERROR_ESTIMATOR_ORDER = 4
+# Step-size control of transport under this tableau, as scipy's RK45
+# applies it to one path.
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -75,6 +103,17 @@ MAX_FACTOR = 10.0
 # NumPy 2.4.6).  Every element sees the same operations, so the bits do
 # not depend on the block size.
 RECORD_BLOCK = 2 ** 14
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only ``integrate_trajectory`` uses it, so importing the package does
+    not load SciPy.  It stays a name of this module, with a ``y0``
+    parameter, because the benchmark harness traces it here.
+    """
+    import scipy.integrate
+    return scipy.integrate.solve_ivp(fun, t_span, y0, **options)
 
 
 def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
@@ -205,7 +244,9 @@ def _density_grid(exp: SlitExperiment, consts: PhysicalConstants, t: float):
     y = np.linspace(-half, half, CDF_GRID_POINTS)
     p = _psi_derivs(exp, consts, y, t)[0]
     pdf = (p * p.conjugate()).real
-    cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, y)])
+    # cumulative trapezoid rule, in scipy's cumulative_trapezoid arithmetic
+    cdf = np.concatenate(
+        [[0.0], np.cumsum(np.diff(y) * (pdf[1:] + pdf[:-1]) / 2.0)])
     total = cdf[-1]
     if total <= 0.0:
         raise NumericalError("density integrates to zero on the grid")
@@ -243,7 +284,11 @@ def _lane_sum(coeffs, k):
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    """scipy's ``select_initial_step`` from t = 0, one value per lane."""
+    """scipy's ``select_initial_step`` from t = 0, one value per lane.
+
+    Its exponent takes ``ERROR_ESTIMATOR_ORDER`` of the module tableau,
+    which a test pins to scipy's RK45.
+    """
     scale = atol + np.abs(y0) * rtol
     d0 = np.abs(y0 / scale)
     d1 = np.abs(f0 / scale)
@@ -255,7 +300,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2))
-                      ** (1.0 / (RK45.error_estimator_order + 1)))
+                      ** (1.0 / (ERROR_ESTIMATOR_ORDER + 1)))
     return np.minimum(np.minimum(100.0 * h0, h1), t_end)
 
 
@@ -266,11 +311,12 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
 
     A vectorized Dormand-Prince 5(4) stepper (Hairer, Norsett & Wanner,
     Solving ODEs I, sec. II.4) gives every lane its own time, step and
-    error norm, under scipy's RK45 tableau and step-size controller, so
-    rtol = ``tol`` and atol = ``tol`` * packet width mean what they mean
-    for one path.  A lane that reaches t_end leaves the active set.  A
-    lane whose step falls below 10 ulp of its time fails alone: its row is
-    NaN.  The right-hand side is the real psi'/psi form of
+    error norm, under the module's tableau (``A``, ``B``, ``C``, ``E``,
+    ``P``; a test pins it to scipy's RK45) and scipy's step-size
+    controller, so rtol = ``tol`` and atol = ``tol`` * packet width mean
+    what they mean for one path.  A lane that reaches t_end leaves the
+    active set.  A lane whose step falls below 10 ulp of its time fails
+    alone: its row is NaN.  The right-hand side is the real psi'/psi form of
     ``_velocity_raw``, so lanes far in the tails propagate like a single
     packet.
 
@@ -295,8 +341,7 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     def rhs(t, y):
         return _velocity_raw(exp, consts, y, t)
 
-    a, b, c, e, p = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
-    exponent = -1.0 / (RK45.error_estimator_order + 1)
+    exponent = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
     lane = np.arange(len(y))
     t = np.zeros(len(y))
     f = rhs(t, y)
@@ -319,12 +364,12 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
         k = [f]
-        for s in range(1, len(c)):
-            k.append(rhs(t + c[s] * h, y + _lane_sum(a[s, :s], k) * h))
-        y_new = y + h * _lane_sum(b, k)
+        for s in range(1, len(C)):
+            k.append(rhs(t + C[s] * h, y + _lane_sum(A[s, :s], k) * h))
+        y_new = y + h * _lane_sum(B, k)
         k.append(rhs(t_new, y_new))
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err = np.abs(_lane_sum(e, k) * h / scale)
+        err = np.abs(_lane_sum(E, k) * h / scale)
         accept = err < 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = SAFETY * err ** exponent  # inf at err == 0
@@ -348,8 +393,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
             # y + h sum_m Q_m x^(m+1) with Q = K^T P, by Horner's rule
             kd = [kj[dense] for kj in k]
             poly = 0.0
-            for m in reversed(range(p.shape[1])):
-                poly = (poly + _lane_sum(p[:, m], kd)[at]) * x
+            for m in reversed(range(P.shape[1])):
+                poly = (poly + _lane_sum(P[:, m], kd)[at]) * x
             out[lane[rows], cols] = h[rows] * poly + y[rows]
             filled[dense] = stop[dense]
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from itertools import repeat
 from pathlib import Path
 
@@ -389,6 +391,25 @@ def test_cli_success(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().out
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # SciPy is imported only where a single path is integrated, so a fresh
+    # interpreter that imports the package and runs table1 never loads it
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "from bohm_radiance import (cli, config, radiance, runner,",
+        "                           trajectories, wavefield)",
+        f"code = cli.main(['table1', '--out', {str(tmp_path / 'out')!r}])",
+        "print(code, sorted(m for m in sys.modules",
+        "                   if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"constants": "bohr"}', encoding="utf-8")
@@ -418,10 +439,18 @@ def test_cli_numerical_error(tmp_path, capsys):
     ({"grad_q_ev_per_cm": 3.06, "tau_s": 5e-324}, 3,
      "valley 1: omega_c_hz is inf"),
     ({"grad_q_ev_per_cm": 1e150, "tau_s": 2.8e-11}, 0, None),
-], ids=["grad_q_1e200", "tau_5e-324", "grad_q_1e150"])
+    # v0^2 + 2 a dy overflows, while tau (1e-205 and 1.9e142 s) does not
+    ({"grad_q_ev_per_cm": 3.06, "dy_cm": 1e-5, "v0_cm_per_s": 1e200}, 0,
+     None),
+    ({"grad_q_ev_per_cm": 3.06, "dy_cm": 1e300, "v0_cm_per_s": 0}, 0, None),
+    # tau = dy / v0 = 1e-600 underflows
+    ({"grad_q_ev_per_cm": 3.06, "dy_cm": 1e-300, "v0_cm_per_s": 1e300}, 3,
+     "valley 1: tau_s is 0.0"),
+], ids=["grad_q_1e200", "tau_5e-324", "grad_q_1e150", "v0_1e200",
+        "dy_1e300", "tau_underflow"])
 def test_cli_overflowing_valley(tmp_path, capsys, sub, valley, code, note):
     # a step whose power or cutoff overflows is a numerical failure with
-    # the field named, not a traceback from json.dumps
+    # the field named, not a traceback from json.dumps or collision_time
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"valleys": [
         {"index": 1, "v0_cm_per_s": 15000.0, **valley}]}), encoding="utf-8")

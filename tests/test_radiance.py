@@ -70,11 +70,12 @@ def test_collision_time_reference(paper):
 
 
 def test_collision_time_satisfies_quadratic(paper):
-    v0, dy = 1.5e4, 1.0e-4 / 7.0
     a = paper.acceleration_from_gradient(3.06)
-    tau = rad.collision_time(v0, a, dy)
-    assert v0 * tau + 0.5 * a * tau * tau == pytest.approx(dy, rel=1e-12,
-                                                           abs=0.0)
+    # the last two overflow v0^2 + 2 a dy
+    for v0, dy in ((1.5e4, 1.0e-4 / 7.0), (1e200, 1e-5), (0.0, 1e300)):
+        tau = rad.collision_time(v0, a, dy)
+        assert v0 * tau + 0.5 * a * tau * tau == pytest.approx(
+            dy, rel=1e-12, abs=0.0)
 
 
 def test_collision_time_ballistic_limit():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
 from scipy.stats import kstest
 
 from bohm_radiance.cli import main
@@ -174,6 +174,14 @@ def test_no_axis_crossing_sample(exp, paper):
     signs = np.sign(paths)
     assert np.all(signs == np.sign(y0)[:, None])
     assert np.min(np.abs(paths)) > 0.0
+
+
+def test_tableau_is_scipys_rk45():
+    # transport's Dormand-Prince constants are scipy's, to the bit
+    for ours, scipys in ((tr.A, RK45.A), (tr.B, RK45.B), (tr.C, RK45.C),
+                         (tr.E, RK45.E), (tr.P, RK45.P)):
+        assert np.array_equal(ours, scipys)
+    assert tr.ERROR_ESTIMATOR_ORDER == RK45.error_estimator_order
 
 
 # Launches that cross a valley wall sharply: the two largest quantile-map
@@ -362,6 +370,15 @@ def test_initial_sampling_matches_density(exp, paper):
     y0 = tr.sample_initial_positions(exp, paper, 1000, seed=3)
     ks = tr.ks_statistic_against_density(exp, paper, y0, 0.0)
     assert ks < 0.06
+
+
+def test_density_cdf_is_cumulative_trapezoid(exp, paper):
+    for t in (0.0, exp.time_of_flight_s):
+        y, cdf = tr._density_grid(exp, paper, t)
+        psi = wf._psi_derivs(exp, paper, y, t)[0]
+        ref = np.concatenate([[0.0], cumulative_trapezoid(
+            (psi * psi.conjugate()).real, y)])
+        np.testing.assert_array_equal(cdf, ref / ref[-1])
 
 
 def test_ks_statistic_against_scipy(exp, paper):
