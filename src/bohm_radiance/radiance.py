@@ -176,6 +176,10 @@ class SpectrumStep:
 def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     """Full per-valley emission characteristics from a ValleyInput."""
     a = consts.acceleration_from_gradient(vi.grad_q_ev_per_cm)
+    if not math.isfinite(a):
+        raise DomainError(
+            f"valley {vi.index}: acceleration_cm_s2 is {a!r}; the inputs "
+            "overflow double precision")
     if vi.tau_s is not None:
         tau = vi.tau_s
     else:

@@ -45,7 +45,7 @@ from .radiance import (
     spectrum_step,
 )
 from .trajectories import integrate_trajectory, run_ensemble
-from .wavefield import cross_section_scan
+from .wavefield import _polar, cross_section_scan
 
 SUBCOMMANDS = ("quantum-potential", "simulate-trajectories", "valley-report",
                "spectrum", "table1", "detectability", "compare")
@@ -158,12 +158,13 @@ def _steps(cfg: RunConfig):
 
 def _cmd_quantum_potential(cfg: RunConfig, em: _Emitter) -> None:
     scan = _scan(cfg)
-    # s is already NaN on singular rows
+    # the one output that writes S; s is already NaN on singular rows
+    r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
     em.write_csv("quantum_potential.csv", {
         "y_cm": scan.y,
         "t_s": [str(scan.t_s)] * scan.y.size,
-        "R": scan.r,
-        "S_eVs": scan.s,
+        "R": r,
+        "S_eVs": s,
         "Q_eV": np.where(scan.singular, np.nan, scan.q),
         "gradQ_eV_per_cm": np.where(scan.singular, np.nan, scan.grad_q),
         "flag": np.where(scan.singular, "singular", "ok").tolist(),

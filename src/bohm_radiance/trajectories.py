@@ -54,6 +54,7 @@ from .wavefield import (
     SlitExperiment,
     _closed_form_args,
     _psi_derivs,
+    _q_grad_q_of,
     grad_quantum_potential,
     sigma_t,
 )
@@ -123,13 +124,25 @@ def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     sech p is 0, its exact limit, so far in the tails v tends to the
     single-packet velocity.
     """
-    b, alpha, p, sech = _closed_form_args(exp, consts, y, t)
+    return _velocity_of(exp, consts, y, _closed_form_args(exp, consts, y, t))
+
+
+def _velocity_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
+    """``_velocity_raw`` from ``_closed_form_args`` at the same y."""
+    b, alpha, _, sech, sin_bp, _, tanh_p, d = args
     yy = exp.slit_half_separation_cm
     y = np.asarray(y, dtype=float)
-    bp = b * p
     return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
-        b * y - yy * (np.sin(bp) * sech + b * np.tanh(p))
-        / (1.0 + np.cos(bp) * sech))
+        b * y - yy * (sin_bp * sech + b * tanh_p) / d)
+
+
+def _velocity_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
+                           y, t):
+    """``_velocity_raw`` and ``bohmian_acceleration`` at (y, t >= 0), bit
+    for bit, from one evaluation of their shared transcendentals."""
+    args = _closed_form_args(exp, consts, y, t)
+    _, gq = _q_grad_q_of(exp, consts, y, args)
+    return _velocity_of(exp, consts, y, args), -gq / consts.electron_mass
 
 
 def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
@@ -202,8 +215,8 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     a_field = np.empty_like(y)
     for start in range(0, len(t), RECORD_BLOCK):
         block = slice(start, start + RECORD_BLOCK)
-        v[block] = _velocity_raw(exp, consts, y[block], t[block])
-        a_field[block] = bohmian_acceleration(exp, consts, y[block], t[block])
+        v[block], a_field[block] = _velocity_acceleration(
+            exp, consts, y[block], t[block])
     a_numeric = np.gradient(v, t) if len(t) >= 3 else np.zeros_like(v)
     return Trajectory(
         y0_cm=y0,

@@ -40,6 +40,15 @@ functions are pure and vectorized over y.
 Samples where R falls below a floor (1e-12 of the packet peak scale at
 that t) carry no meaningful phase: S is returned as NaN there, a scan
 flags them singular, and valley detection skips them.
+
+A cross-section scan samples a grid exactly symmetric about y = 0.  The
+setup is mirror symmetric, so Q is even in y and grad Q odd: the scan
+evaluates them on the y >= 0 half and mirrors the result.  This copies
+the full-grid values bit for bit because every step of the closed form
+is even or odd in y in floating point too, given that sin and tanh are
+odd and cos and cosh even in the maths library (a test checks both).  A
+scan keeps psi itself; the phase S, with its angle and unwrap, is
+computed only by ``quantum-potential``, the one output that writes it.
 """
 
 from __future__ import annotations
@@ -295,24 +304,40 @@ def amplitude_phase(exp: SlitExperiment, consts: PhysicalConstants,
 
 
 def _closed_form_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """b, alpha = 1 / (4 sigma0^2 (1 + b^2)), p = 4 alpha Y y and sech p.
+    """The real arguments and transcendentals of the closed form of psi'/psi.
 
-    The real arguments of the closed form of psi'/psi.  sech p is
-    1/cosh p, which is 0 where cosh overflows, its exact limit.
+    Returns (b, alpha, p, sech p, sin bp, cos bp, tanh p, D) with
+    alpha = 1 / (4 sigma0^2 (1 + b^2)), p = 4 alpha Y y and
+    D = 1 + cos(bp) sech p: every value that the guidance velocity and
+    Q, grad Q share, so a caller that needs both computes them once.
+    sech p is 1/cosh p, which is 0 where cosh overflows, its exact limit.
+    Each returned array is even or odd in y (b and alpha do not depend on
+    y; p, sin bp and tanh p are odd; sech p, cos bp and D are even).
     """
     b = spreading_parameter(exp, consts, t)
     alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
     p = 4.0 * exp.slit_half_separation_cm * alpha * np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
         sech = 1.0 / np.cosh(p)
-    return b, alpha, p, sech
+    bp = b * p
+    cos_bp = np.cos(bp)
+    return b, alpha, p, sech, np.sin(bp), cos_bp, np.tanh(p), \
+        1.0 + cos_bp * sech
 
 
 def _q_grad_q(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """Q in eV and dQ/dy in eV/cm by the closed form of the module docstring.
+    """Q in eV and dQ/dy in eV/cm at (y, t); see ``_q_grad_q_of``."""
+    if np.any(np.asarray(t) < 0.0):
+        raise ConfigError("t must be >= 0")
+    return _q_grad_q_of(exp, consts, y, _closed_form_args(exp, consts, y, t))
 
-    With c = cos(bp), s = sech p and D = 1 + c s, which is at least
-    1 - s > 0 for p != 0 and 2 at p = 0,
+
+def _q_grad_q_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
+    """Q and dQ/dy by the closed form of the module docstring.
+
+    ``args`` is ``_closed_form_args`` at the same y.  With c = cos(bp),
+    s = sech p and D = 1 + c s, which is at least 1 - s > 0 for p != 0
+    and 2 at p = 0,
 
         tanh z   = Tr + i Ti = (tanh p - i sin(bp) s) / D
         sech^2 z = Sr + i Si = 1 - (Tr + i Ti)^2,
@@ -323,16 +348,11 @@ def _q_grad_q(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     g^2 = alpha^2 (1 - b^2 - 2 i b) and
     g^3 = alpha^3 (1 - 3 b^2 + i (b^3 - 3 b)).
     """
-    if np.any(np.asarray(t) < 0.0):
-        raise ConfigError("t must be >= 0")
-    b, alpha, p, sech = _closed_form_args(exp, consts, y, t)
+    b, alpha, _, sech, sin_bp, cos_bp, tanh_p, d = args
     y = np.asarray(y, dtype=float)
     yy = exp.slit_half_separation_cm
-    bp = b * p
-    cos_bp = np.cos(bp)
-    d = 1.0 + cos_bp * sech
-    tr = np.tanh(p) / d
-    ti = -np.sin(bp) * sech / d
+    tr = tanh_p / d
+    ti = -sin_bp * sech / d
     sr = 2.0 * sech * (cos_bp + sech) / (d * d)
     si = -2.0 * tr * ti
     ay = alpha * yy
@@ -383,13 +403,20 @@ class Valley:
 
 @dataclass
 class ScanResult:
-    """Arrays sampled along y at fixed t, plus detected valleys."""
+    """Arrays sampled along y at fixed t, plus detected valleys.
+
+    ``psi`` is the complex amplitude; R and S follow from it by
+    ``_polar``, which only the one output that writes S runs.  ``q`` and
+    ``grad_q`` are evaluated on the y >= 0 half of the symmetric grid and
+    mirrored: Q is even in y and grad Q odd, and the mirror equals a
+    full-grid evaluation bit for bit as long as sin, tanh are odd and cos,
+    cosh even in floating point, which a test checks.
+    """
 
     x_cm: float
     t_s: float
     y: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
+    psi: np.ndarray
     q: np.ndarray
     grad_q: np.ndarray
     singular: np.ndarray          # bool mask, True where R is below the floor
@@ -410,16 +437,21 @@ def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
     """Sample the field along y at the section x and detect Q valleys.
 
     The grid is symmetric about y = 0 (mirror symmetry of the setup is
-    exact there, which the valley pairing tests rely on).
+    exact there, which the valley pairing tests rely on), so Q and grad Q
+    are computed on its y >= 0 half only and mirrored.  psi is evaluated
+    on the whole grid.
     """
     if n_samples < 100:
         raise ConfigError("n_samples must be >= 100")
     t = exp.section_time_s(x_cm)
     y = symmetric_grid(y_half_range_cm, n_samples)
-    r, s = _polar(exp, consts, _psi_derivs(exp, consts, y, t)[0], t)
-    q, gq = _q_grad_q(exp, consts, y, t)
-    singular = np.isnan(s)
-    result = ScanResult(x_cm=x_cm, t_s=t, y=y, r=r, s=s, q=q, grad_q=gq,
+    p = _psi_derivs(exp, consts, y, t)[0]
+    half = y.size // 2
+    q_half, gq_half = _q_grad_q(exp, consts, y[half:], t)
+    q = np.concatenate((q_half[:0:-1], q_half))
+    gq = np.concatenate((-gq_half[:0:-1], gq_half))
+    singular = ~(np.abs(p) > r_floor(exp, consts, t))
+    result = ScanResult(x_cm=x_cm, t_s=t, y=y, psi=p, q=q, grad_q=gq,
                         singular=singular)
     result.valleys = _detect_valleys(y, q, singular, result.diagnostics)
     if not result.valleys:
@@ -436,43 +468,49 @@ def _local_extrema(q: np.ndarray, singular: np.ndarray):
     interior = q[1:-1]
     is_min = ok & (interior < q[:-2]) & (interior < q[2:])
     is_max = ok & (interior > q[:-2]) & (interior > q[2:])
-    return list(np.nonzero(is_min)[0] + 1), list(np.nonzero(is_max)[0] + 1)
+    return np.flatnonzero(is_min) + 1, np.flatnonzero(is_max) + 1
 
 
 def _detect_valleys(y: np.ndarray, q: np.ndarray, singular: np.ndarray,
                     diagnostics: list[str]) -> list[Valley]:
     mins, maxs = _local_extrema(q, singular)
-    if not mins or not maxs:
+    if not mins.size or not maxs.size:
         return []
+    # The crests just below and just above each minimum on the grid.  The
+    # one toward the axis is the inner crest; it may sit on the axis but
+    # not beyond it.
+    above = np.searchsorted(maxs, mins)
+    has_both = (above > 0) & (above < maxs.size)
+    j_below = maxs[np.maximum(above - 1, 0)]
+    j_above = maxs[np.minimum(above, maxs.size - 1)]
     valleys: list[Valley] = []
-    # Group minima by side of the axis; index outward per side.
-    for side in (+1, -1):
-        side_mins = [i for i in mins if side * y[i] > 0.0]
-        side_mins.sort(key=lambda i: abs(y[i]))
-        for rank, i in enumerate(side_mins, start=1):
-            # Flanking maxima: nearest toward and away from the axis.
-            inner = [j for j in maxs if abs(y[j]) < abs(y[i])
-                     and side * y[j] >= 0.0]
-            outer = [j for j in maxs if side * y[j] > 0.0
-                     and abs(y[j]) > abs(y[i])]
-            if not inner or not outer:
+    # Group minima by side of the axis; index outward per side, which on
+    # the y < 0 side is descending grid order.
+    for side, j_inner in ((+1, j_below), (-1, j_above)):
+        order = np.flatnonzero(side * y[mins] > 0.0)[::side]
+        j_in = j_inner[order]
+        flanked = has_both[order] & (side * y[j_in] >= 0.0)
+        i = mins[order]
+        depth = q[j_in] - q[i]
+        half_width = np.abs(y[i] - y[j_in])
+        rows = zip(flanked.tolist(), y[i].tolist(), y[j_below[order]].tolist(),
+                   y[j_above[order]].tolist(), depth.tolist(),
+                   half_width.tolist(), (depth / half_width).tolist())
+        for rank, (ok, y_min, left, right, dep, hw, grad) in enumerate(
+                rows, start=1):
+            if not ok:
                 diagnostics.append(
-                    f"minimum at y={y[i]:.3e} lacks a flanking maximum; "
+                    f"minimum at y={y_min:.3e} lacks a flanking maximum; "
                     "skipped")
                 continue
-            j_in = max(inner, key=lambda j: abs(y[j]))
-            j_out = min(outer, key=lambda j: abs(y[j]))
-            depth = q[j_in] - q[i]
-            half_width = abs(y[i] - y[j_in])
-            left, right = sorted((y[j_in], y[j_out]))
             valleys.append(Valley(
                 index=rank,
-                y_min_cm=float(y[i]),
-                y_left_cm=float(left),
-                y_right_cm=float(right),
-                depth_ev=float(depth),
-                half_width_cm=float(half_width),
-                grad_estimate_ev_per_cm=float(depth / half_width),
+                y_min_cm=y_min,
+                y_left_cm=left,
+                y_right_cm=right,
+                depth_ev=dep,
+                half_width_cm=hw,
+                grad_estimate_ev_per_cm=grad,
             ))
-    valleys.sort(key=lambda v: (v.index, -np.sign(v.y_min_cm)))
+    valleys.sort(key=lambda v: (v.index, v.y_min_cm < 0.0))
     return valleys

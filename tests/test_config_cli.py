@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohm_radiance import wavefield
 from bohm_radiance.cli import main
 from bohm_radiance.config import (
     DEFAULT_CONFIG,
@@ -22,7 +23,11 @@ from bohm_radiance.config import (
 from bohm_radiance.errors import ConfigError
 from bohm_radiance.runner import _Emitter, run
 from bohm_radiance.trajectories import integrate_trajectory
-from bohm_radiance.wavefield import JONSSON_DEFAULTS, cross_section_scan
+from bohm_radiance.wavefield import (
+    JONSSON_DEFAULTS,
+    _polar,
+    cross_section_scan,
+)
 
 
 def write_config(tmp_path, payload) -> Path:
@@ -218,21 +223,36 @@ def test_quantum_potential_csv_round_trip(tmp_path):
                               cfg.scan.y_half_range_cm, cfg.scan.n_samples)
     singular = scan.singular
     assert singular.any() and not singular.all()
+    r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
     _, rows = read_csv(cfg.output_dir / "quantum_potential.csv")
     cols = list(zip(*rows))
     np.testing.assert_array_equal(parsed(cols[0]), bits(scan.y))
     np.testing.assert_array_equal(parsed(cols[1]),
                                   bits(np.full(len(rows), scan.t_s)))
-    np.testing.assert_array_equal(parsed(cols[2]), bits(scan.r))
+    np.testing.assert_array_equal(parsed(cols[2]), bits(r))
     for row, sing in zip(rows, singular):
         if sing:
             assert row[3:] == ["nan", "nan", "nan", "singular"]
         else:
             assert row[6] == "ok"
     ok = ~singular
-    for col, values in zip(cols[3:6], (scan.s, scan.q, scan.grad_q)):
+    for col, values in zip(cols[3:6], (s, scan.q, scan.grad_q)):
         np.testing.assert_array_equal(
             parsed(np.array(col)[ok]), bits(values[ok]))
+
+
+def test_quantum_potential_is_one_kernel_pass(tmp_path, monkeypatch):
+    # R and S come from the scan's own evaluation of psi, not a second one
+    points = []
+    kernel = wavefield._psi_derivs
+
+    def counting(exp, consts, y, t):
+        points.append(np.size(y))
+        return kernel(exp, consts, y, t)
+
+    monkeypatch.setattr(wavefield, "_psi_derivs", counting)
+    cfg, _ = run_subcommand(tmp_path, "quantum-potential")
+    assert points == [cfg.scan.n_samples]
 
 
 def test_trajectory_csv_round_trip(tmp_path, quick_overrides):
@@ -248,13 +268,14 @@ def test_trajectory_csv_round_trip(tmp_path, quick_overrides):
         np.testing.assert_array_equal(parsed(col), bits(getattr(traj, name)))
 
 
-def reference_quantum_potential_csv(scan) -> str:
+def reference_quantum_potential_csv(cfg, scan) -> str:
     """quantum_potential.csv built row by row, str of each cell."""
+    r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
     q, grad_q = (np.where(scan.singular, np.nan, a).tolist()
                  for a in (scan.q, scan.grad_q))
     flags = np.where(scan.singular, "singular", "ok").tolist()
-    rows = zip(scan.y.tolist(), repeat(scan.t_s), scan.r.tolist(),
-               scan.s.tolist(), q, grad_q, flags)
+    rows = zip(scan.y.tolist(), repeat(scan.t_s), r.tolist(),
+               s.tolist(), q, grad_q, flags)
     lines = ["y_cm,t_s,R,S_eVs,Q_eV,gradQ_eV_per_cm,flag"]
     lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
@@ -269,7 +290,7 @@ def test_quantum_potential_csv_bytes(tmp_path, x_cm):
                               cfg.experiment.cross_section_x_cm,
                               cfg.scan.y_half_range_cm, cfg.scan.n_samples)
     data = (cfg.output_dir / "quantum_potential.csv").read_bytes()
-    assert data == reference_quantum_potential_csv(scan).encode("utf-8")
+    assert data == reference_quantum_potential_csv(cfg, scan).encode("utf-8")
     assert manifest.files == [{"path": "quantum_potential.csv",
                                "sha256": hashlib.sha256(data).hexdigest(),
                                "bytes": len(data)}]
@@ -446,8 +467,13 @@ def test_cli_numerical_error(tmp_path, capsys):
     # tau = dy / v0 = 1e-600 underflows
     ({"grad_q_ev_per_cm": 3.06, "dy_cm": 1e-300, "v0_cm_per_s": 1e300}, 3,
      "valley 1: tau_s is 0.0"),
+    # a = grad Q / m overflows, which is named before tau is computed
+    ({"grad_q_ev_per_cm": 1e300, "dy_cm": 1e300, "v0_cm_per_s": 1e300}, 3,
+     "valley 1: acceleration_cm_s2 is inf"),
+    ({"grad_q_ev_per_cm": 1e300, "tau_s": 2.8e-11, "v0_cm_per_s": 1e300},
+     3, "valley 1: acceleration_cm_s2 is inf"),
 ], ids=["grad_q_1e200", "tau_5e-324", "grad_q_1e150", "v0_1e200",
-        "dy_1e300", "tau_underflow"])
+        "dy_1e300", "tau_underflow", "accel_inf_dy", "accel_inf_tau"])
 def test_cli_overflowing_valley(tmp_path, capsys, sub, valley, code, note):
     # a step whose power or cutoff overflows is a numerical failure with
     # the field named, not a traceback from json.dumps or collision_time

@@ -353,14 +353,18 @@ def test_launch_just_above_the_floor_between_the_slits(tmp_path):
 
 def test_recording_blocks_keep_the_bits(exp, paper):
     # the recording crosses two block edges and ends in a short block;
-    # every sample must equal one whole-array evaluation bit for bit
+    # every sample must equal separate whole-array evaluations of v and a
+    # bit for bit, and so must one fused whole-array evaluation
     traj = tr.integrate_trajectory(exp, paper, 4.9e-5, exp.time_of_flight_s,
                                    n_samples=3 * tr.RECORD_BLOCK + 5)
-    np.testing.assert_array_equal(
-        traj.vy_cm_s, tr._velocity_raw(exp, paper, traj.y_cm, traj.t_s))
-    np.testing.assert_array_equal(
-        traj.ay_field,
-        tr.bohmian_acceleration(exp, paper, traj.y_cm, traj.t_s))
+    v = tr._velocity_raw(exp, paper, traj.y_cm, traj.t_s)
+    a = tr.bohmian_acceleration(exp, paper, traj.y_cm, traj.t_s)
+    np.testing.assert_array_equal(traj.vy_cm_s, v)
+    np.testing.assert_array_equal(traj.ay_field, a)
+    v_fused, a_fused = tr._velocity_acceleration(exp, paper, traj.y_cm,
+                                                 traj.t_s)
+    np.testing.assert_array_equal(v_fused, v)
+    np.testing.assert_array_equal(a_fused, a)
 
 
 # ---------------------------------------------------------------------------

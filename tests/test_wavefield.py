@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from bohm_radiance.errors import ConfigError
 from bohm_radiance import wavefield as wf
 
 import reference_kernel as ref
+from reference_valleys import list_scan_valleys
 
 
 def single_packet(paper, **overrides):
@@ -218,7 +220,8 @@ def test_q_finite_above_floor(exp, paper):
     # are flagged singular
     scan = wf.cross_section_scan(exp, paper, 2.0, 8e-4, n_samples=16385)
     assert np.isfinite(scan.q).all() and np.isfinite(scan.grad_q).all()
-    above = scan.r > wf.r_floor(exp, paper, scan.t_s)
+    r, _ = wf._polar(exp, paper, scan.psi, scan.t_s)
+    above = r > wf.r_floor(exp, paper, scan.t_s)
     assert np.array_equal(scan.singular, ~above)
     assert scan.singular.any() and not scan.singular.all()
 
@@ -447,11 +450,67 @@ def test_scan_is_one_kernel_pass(exp, paper, monkeypatch):
     assert calls == [0]
 
 
+def bits(values):
+    """float64 bit patterns, so equality is bit for bit (sign of zero too)."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_libm_mirror_parity():
+    # the mirrored scan copies Q and grad Q from y >= 0 to y < 0; that is
+    # exact only while these functions are odd or even bit for bit
+    rng = np.random.default_rng(20261019)
+    x = np.concatenate([rng.uniform(-50.0, 50.0, 50_000),
+                        10.0 ** rng.uniform(-300.0, 6.0, 50_000)])
+    with np.errstate(over="ignore"):
+        for odd in (np.sin, np.tanh):
+            np.testing.assert_array_equal(bits(odd(-x)), bits(-odd(x)),
+                                          err_msg=odd.__name__)
+        for even in (np.cos, np.cosh):
+            np.testing.assert_array_equal(bits(even(-x)), bits(even(x)),
+                                          err_msg=even.__name__)
+
+
+@pytest.mark.parametrize("x_cm, half_range, n_samples", [
+    (2.0, 8e-4, 16385), (18.0, 8e-4, 16385), (35.0, 8e-4, 16385),
+    (18.0, 3e-4, 2001)])
+def test_mirrored_scan_equals_full_grid(exp, paper, x_cm, half_range,
+                                        n_samples):
+    scan = wf.cross_section_scan(exp, paper, x_cm, half_range, n_samples)
+    y, t = scan.y, scan.t_s
+    assert scan.singular.any() == (x_cm == 2.0)
+    np.testing.assert_array_equal(
+        bits(scan.q), bits(wf.quantum_potential(exp, paper, y, t)))
+    np.testing.assert_array_equal(
+        bits(scan.grad_q), bits(wf.grad_quantum_potential(exp, paper, y, t)))
+    np.testing.assert_array_equal(
+        bits(np.abs(scan.psi)), bits(np.abs(wf.psi(exp, paper, y, t))))
+
+
+@pytest.mark.parametrize("half_range", [8e-4, 3e-4, 2e-3, 10.0])
+def test_valleys_match_list_scan_oracle(exp, paper, half_range):
+    # 100 sections per range, diagnostics (minima that lack a crest)
+    # included; 10 cm is far under-resolved and mostly singular
+    n_valleys = n_diagnostics = 0
+    for x_cm in np.linspace(0.5, 35.0, 100):
+        scan = wf.cross_section_scan(exp, paper, float(x_cm), half_range,
+                                     16385)
+        got, want = [], []
+        valleys = wf._detect_valleys(scan.y, scan.q, scan.singular, got)
+        expected = list_scan_valleys(scan.y, scan.q, scan.singular, want)
+        assert [dataclasses.astuple(v) for v in valleys] \
+            == [dataclasses.astuple(v) for v in expected]
+        assert got == want
+        n_valleys += len(valleys)
+        n_diagnostics += len(got)
+    assert n_valleys > 0 and n_diagnostics > 0
+
+
 def test_scan_channels_match_public_functions(exp, paper, scan18):
     y, t = scan18.y, scan18.t_s
     r, s = wf.amplitude_phase(exp, paper, y, t)
-    assert np.array_equal(scan18.r, r, equal_nan=True)
-    assert np.array_equal(scan18.s, s, equal_nan=True)
+    scan_r, scan_s = wf._polar(exp, paper, scan18.psi, t)
+    assert np.array_equal(scan_r, r, equal_nan=True)
+    assert np.array_equal(scan_s, s, equal_nan=True)
     assert np.array_equal(scan18.q, wf.quantum_potential(exp, paper, y, t),
                           equal_nan=True)
     assert np.array_equal(scan18.grad_q,
