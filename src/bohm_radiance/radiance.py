@@ -317,14 +317,17 @@ def ensemble_mean_gradient(exp: SlitExperiment, consts: PhysicalConstants,
     """Quadrature of integral rho gradQ dy with rho = |psi|^2, in eV/cm.
 
     Vanishes (to quadrature accuracy) for any normalizable state: the
-    statistical form of the pilot-wave prediction.
+    statistical form of the pilot-wave prediction.  grad Q is odd in y, so
+    it is computed on the y >= 0 half of the symmetric grid and mirrored,
+    as in ``cross_section_scan``.
     """
     y_half_range_cm = exp.slit_half_separation_cm \
         + 8.0 * sigma_t(exp, consts, t)
     y = symmetric_grid(y_half_range_cm, ENSEMBLE_MEAN_POINTS)
     p = _psi_derivs(exp, consts, y, t)[0]
     rho = (p * p.conjugate()).real
-    gq = grad_quantum_potential(exp, consts, y, t)
+    gq_half = grad_quantum_potential(exp, consts, y[y.size // 2:], t)
+    gq = np.concatenate((-gq_half[:0:-1], gq_half))
     return float(np.trapezoid(rho * gq, y) / np.trapezoid(rho, y))
 
 

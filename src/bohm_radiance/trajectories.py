@@ -13,7 +13,10 @@ envelope cancel, and with g = alpha (1 - i b), p = 4 alpha Y y,
     v = (hbar/m) 2 alpha [b y - Y (sin(bp) sech p + b tanh p)
                                 / (1 + cos(bp) sech p)],
 
-evaluated in real arithmetic with no amplitude that could underflow.
+evaluated in real arithmetic with no amplitude that could underflow.  It
+has two forms with the same bits: ``_velocity_raw`` on arrays, for
+ensembles and recorded samples, and ``_velocity_scalar`` on Python floats,
+the right-hand side of a single path; a test pins the one to the other.
 
 The beable acceleration is the quantum-potential force
 
@@ -57,6 +60,7 @@ from .wavefield import (
     _q_grad_q_of,
     grad_quantum_potential,
     sigma_t,
+    spreading_parameter,
 )
 
 DEFAULT_TOL = 1.0e-9
@@ -104,6 +108,9 @@ MAX_FACTOR = 10.0
 # NumPy 2.4.6).  Every element sees the same operations, so the bits do
 # not depend on the block size.
 RECORD_BLOCK = 2 ** 14
+# cosh is finite below this |argument| (cosh 710 = 1.1e308; it overflows
+# from 710.476), so only beyond it does _velocity_scalar need np.errstate.
+COSH_FINITE = 710.0
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -127,6 +134,35 @@ def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     return _velocity_of(exp, consts, y, _closed_form_args(exp, consts, y, t))
 
 
+def _velocity_scalar(exp: SlitExperiment, consts: PhysicalConstants,
+                     y: float, t: float) -> float:
+    """``_velocity_raw`` at one (y, t), in Python float arithmetic.
+
+    The operations of ``_closed_form_args`` and ``_velocity_of`` in the
+    same order, with cosh, tanh, sin and cos from the same NumPy ufuncs
+    (``math.cosh`` and ``math.tanh`` round differently), so the result is
+    the bits of ``_velocity_raw`` on one-element arrays; a test pins this,
+    and a change to either form must be made in both.  A one-element call
+    of the array form, a dozen ufunc passes and an ``np.errstate``
+    context, took 24.6 us against 3.5 us for this form (best of 5 x
+    20,000; 2 cores, Python 3.11.7, NumPy 2.4.6), and a single path makes
+    about a thousand of them.
+    """
+    b = spreading_parameter(exp, consts, t)
+    alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
+    yy = exp.slit_half_separation_cm
+    p = 4.0 * yy * alpha * y
+    if abs(p) < COSH_FINITE:
+        sech = 1.0 / float(np.cosh(p))
+    else:
+        with np.errstate(over="ignore"):
+            sech = 1.0 / float(np.cosh(p))
+    bp = b * p
+    d = 1.0 + float(np.cos(bp)) * sech
+    return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
+        b * y - yy * (float(np.sin(bp)) * sech + b * float(np.tanh(p))) / d)
+
+
 def _velocity_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
     """``_velocity_raw`` from ``_closed_form_args`` at the same y."""
     b, alpha, _, sech, sin_bp, _, tanh_p, d = args
@@ -148,8 +184,9 @@ def _velocity_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
 def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
                    y, t: float):
     """Guidance velocity (1/m) dS/dy in cm/s."""
-    v = _velocity_raw(exp, consts, y, t)
-    return float(v) if np.ndim(y) == 0 else v
+    if np.ndim(y) == 0:
+        return _velocity_scalar(exp, consts, float(y), float(t))
+    return _velocity_raw(exp, consts, y, t)
 
 
 def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
@@ -175,7 +212,7 @@ class Trajectory:
     ay_field: np.ndarray
     ay_numeric: np.ndarray
     # Always False and None: they stay only because the benchmark harness
-    # reads them, until its counters move to ``transport`` (ROADMAP item 3).
+    # reads them, until its counters move to ``transport`` (ROADMAP item 1).
     halted: bool = False
     halt_reason: str | None = None
 
@@ -189,7 +226,10 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     embedded RK 4(5) pair.  The path is recorded on a uniform grid of
     n_samples points from 0 to t_end.  Any finite nonzero y0 is accepted:
     the velocity comes from psi'/psi, which stays finite where |psi| is
-    below the node floor, as in the tails and between the slits.
+    below the node floor, as in the tails and between the slits.  The
+    right-hand side is ``_velocity_scalar``, whose bits a test pins to the
+    array form's, so the path and its steps are those of ``_velocity_raw``;
+    the recorded v and a come from the array form, block by block.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -200,7 +240,7 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
         raise ConfigError("t_end must be positive and finite")
 
     def rhs(t, y):
-        return _velocity_raw(exp, consts, y, t)
+        return [_velocity_scalar(exp, consts, float(y[0]), float(t))]
 
     t_eval = np.linspace(0.0, t_end, n_samples)
     atol = tol * max(abs(y0), exp.packet_width_cm)

@@ -344,6 +344,25 @@ def test_ensemble_mean_gradient_single_gaussian(paper):
     assert abs(mean_grad) < 1e-8 * scale
 
 
+@pytest.mark.parametrize("x_cm", [2.0, 11.3, 18.0, 34.9])
+def test_ensemble_mean_gradient_mirror_equals_full_grid(exp, paper, x_cm):
+    # grad Q from the y >= 0 half, mirrored, is the full-grid grad Q as
+    # float64 bit patterns, so the quadrature is the full grid's
+    t = exp.section_time_s(x_cm)
+    y = wf.symmetric_grid(
+        exp.slit_half_separation_cm + 8.0 * wf.sigma_t(exp, paper, t),
+        rad.ENSEMBLE_MEAN_POINTS)
+    full = wf.grad_quantum_potential(exp, paper, y, t)
+    half = wf.grad_quantum_potential(exp, paper, y[y.size // 2:], t)
+    mirrored = np.concatenate((-half[:0:-1], half))
+    np.testing.assert_array_equal(mirrored.view(np.uint64),
+                                  full.view(np.uint64))
+    p = wf.psi(exp, paper, y, t)
+    rho = (p * p.conjugate()).real
+    assert rad.ensemble_mean_gradient(exp, paper, t) \
+        == float(np.trapezoid(rho * full, y) / np.trapezoid(rho, y))
+
+
 def test_ensemble_mean_power_below_valley_power(exp, paper):
     t = exp.section_time_s(18.0)
     p1 = rad.emission_power_from_gradq(paper, 9.66)

@@ -118,6 +118,49 @@ def test_velocity_scalar_and_lane_times_agree_bitwise(exp, paper):
             tr._velocity_raw(exp, paper, y[i:i + 1], float(t[i])))
 
 
+def _p_to_y(exp, paper, p, t):
+    """y at which p = 4 alpha Y y, the argument of cosh and tanh."""
+    b = wf.spreading_parameter(exp, paper, t)
+    alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
+    return np.asarray(p) / (4.0 * alpha * exp.slit_half_separation_cm)
+
+
+def test_velocity_scalar_matches_array_form_bitwise(exp, paper):
+    # a single path's right-hand side must give the bits of the array form
+    # on one-element arrays: from 1e-12 to 10 cm on both sides, on the
+    # axis, at the node floor between the slits, where cosh p overflows
+    # (from |p| = 710.476, |y| ~ 1.74e-4 cm at t = 0) and at p = 40, 100
+    # and 1000
+    rng = np.random.default_rng(79)
+    times = np.concatenate([[0.0],
+                            rng.uniform(0.0, exp.time_of_flight_s, 40)])
+    overflow = np.nextafter(710.4758600739439, np.inf)  # least inf cosh
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.cosh(overflow))
+        assert np.isfinite(np.cosh(np.nextafter(overflow, 0.0)))
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in times:
+            p = np.concatenate([
+                [40.0, 100.0, 1000.0, tr.COSH_FINITE, overflow,
+                 np.nextafter(overflow, 0.0)],
+                overflow * (1.0 + rng.uniform(-1e-3, 1e-3, 200))])
+            y = np.concatenate([10.0 ** rng.uniform(-12.0, 1.0, 400),
+                                [1.37e-5], _p_to_y(exp, paper, p, t)])
+            y = np.concatenate([[0.0], y, -y])
+            scalar = np.array([tr._velocity_scalar(exp, paper, float(v),
+                                                   float(t)) for v in y])
+            array = np.concatenate([
+                tr._velocity_raw(exp, paper, y[i:i + 1], t)
+                for i in range(y.size)])
+            np.testing.assert_array_equal(scalar.view(np.int64),
+                                          array.view(np.int64))
+            checked += y.size
+    assert checked > 40_000
+    assert 1.7e-4 < _p_to_y(exp, paper, overflow, 0.0) < 1.8e-4
+
+
 # ---------------------------------------------------------------------------
 # beable acceleration
 
@@ -365,6 +408,50 @@ def test_recording_blocks_keep_the_bits(exp, paper):
                                                  traj.t_s)
     np.testing.assert_array_equal(v_fused, v)
     np.testing.assert_array_equal(a_fused, a)
+
+
+@pytest.mark.parametrize("y0", [4.9e-5, -4.9e-5, 1.37e-5,
+                                *WALL_CROSSING_LAUNCHES_CM, 3e-4])
+def test_paths_match_the_array_rhs_bitwise(exp, paper, monkeypatch, y0):
+    # the float right-hand side changes neither a path nor its steps: the
+    # same solve_ivp on the array form gives the same samples and nfev;
+    # 3e-4 cm starts where cosh p overflows
+    t_end = exp.time_of_flight_s
+    solutions = []
+    solver = tr.solve_ivp
+
+    def recording(*args, **options):
+        solutions.append(solver(*args, **options))
+        return solutions[-1]
+
+    monkeypatch.setattr(tr, "solve_ivp", recording)
+    traj = tr.integrate_trajectory(exp, paper, y0, t_end)
+    ref = solve_ivp(lambda t, y: tr._velocity_raw(exp, paper, y, t),
+                    (0.0, t_end), [y0], method="RK45", t_eval=traj.t_s,
+                    rtol=tr.DEFAULT_TOL,
+                    atol=tr.DEFAULT_TOL * max(abs(y0), exp.packet_width_cm))
+    assert np.array_equal(traj.y_cm, ref.y[0])
+    (sol,) = solutions
+    assert sol.nfev == ref.nfev
+
+
+def test_single_path_rhs_makes_no_array_pass(exp, paper, monkeypatch):
+    # only the recording blocks evaluate the closed form on arrays, one
+    # call per block; the right-hand side is the scalar form
+    n_samples = 2 * tr.RECORD_BLOCK + 5
+    calls = []
+    closed_form_args = wf._closed_form_args
+
+    def counting(exp, consts, y, t):
+        calls.append(np.size(y))
+        return closed_form_args(exp, consts, y, t)
+
+    monkeypatch.setattr(tr, "_closed_form_args", counting)
+    monkeypatch.setattr(wf, "_closed_form_args", counting)
+    tr.integrate_trajectory(exp, paper, 4.9e-5, exp.time_of_flight_s,
+                            n_samples=n_samples)
+    assert len(calls) == math.ceil(n_samples / tr.RECORD_BLOCK)
+    assert sum(calls) == n_samples
 
 
 # ---------------------------------------------------------------------------
