@@ -86,6 +86,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ArithmeticError as exc:  # float overflow or division by zero
+        print(f"numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

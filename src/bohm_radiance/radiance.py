@@ -32,6 +32,7 @@ while leaving the per-trajectory prediction nonzero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,14 +41,15 @@ from .errors import ConfigError, DomainError, NumericalError
 from .units import PhysicalConstants
 from .wavefield import (
     SlitExperiment,
+    _mirrored_q_grad_q,
+    _psi_derivs,
     cross_section_scan,
-    grad_quantum_potential,
     interference_wavenumber,
     sigma_t,
     symmetric_grid,
-    _psi_derivs,
+    velocity_field,
 )
-from .trajectories import Trajectory, velocity_field
+from .trajectories import Trajectory
 
 # The cutoff wavelength convention: lambda_c = c / omega_c (no 2 pi).
 LAMBDA_CONVENTION_NOTE = (
@@ -101,10 +103,11 @@ def collision_time(v0_cm_s: float, a_cm_s2: float, dy_cm: float) -> float:
         disc = v0_cm_s**2 + 2.0 * a_cm_s2 * dy_cm
     except OverflowError:  # float ** raises where * would give inf
         disc = math.inf
-    if disc < math.inf:
+    if sys.float_info.min <= disc < math.inf:
         return 2.0 * dy_cm / (v0_cm_s + math.sqrt(disc))
-    # Where v0^2 + 2 a dy overflows, the same root with the terms halved
-    # under hypot: tau = dy / (v0/2 + sqrt((v0/2)^2 + (a/2) dy)).
+    # Where v0^2 + 2 a dy overflows, or underflows to 0 or a subnormal, the
+    # same root with the terms halved under hypot:
+    # tau = dy / (v0/2 + sqrt((v0/2)^2 + (a/2) dy)).
     half_v0 = 0.5 * v0_cm_s
     return dy_cm / (half_v0 + math.hypot(
         half_v0, math.sqrt(0.5 * a_cm_s2) * math.sqrt(dy_cm)))
@@ -326,8 +329,7 @@ def ensemble_mean_gradient(exp: SlitExperiment, consts: PhysicalConstants,
     y = symmetric_grid(y_half_range_cm, ENSEMBLE_MEAN_POINTS)
     p = _psi_derivs(exp, consts, y, t)[0]
     rho = (p * p.conjugate()).real
-    gq_half = grad_quantum_potential(exp, consts, y[y.size // 2:], t)
-    gq = np.concatenate((-gq_half[:0:-1], gq_half))
+    _, gq = _mirrored_q_grad_q(exp, consts, y, t)
     return float(np.trapezoid(rho * gq, y) / np.trapezoid(rho, y))
 
 

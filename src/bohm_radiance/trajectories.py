@@ -1,32 +1,15 @@
 """Bohmian trajectories under the guidance law of the two-slit field.
 
-The velocity of a trajectory is the phase gradient at its instantaneous
-position,
-
-    v(y, t) = (1/m) dS/dy = (hbar/m) Im(psi* psi') / |psi|^2
-            = (hbar/m) Im(psi'/psi).
-
-For the two equal-width packets psi = 2 N exp(-g (y^2 + Y^2)) cosh(2 g Y y),
-so psi'/psi = -2 g (y - Y tanh(2 g Y y)): the prefactor and the Gaussian
-envelope cancel, and with g = alpha (1 - i b), p = 4 alpha Y y,
-
-    v = (hbar/m) 2 alpha [b y - Y (sin(bp) sech p + b tanh p)
-                                / (1 + cos(bp) sech p)],
-
-evaluated in real arithmetic with no amplitude that could underflow.  It
-has two forms with the same bits: ``_velocity_raw`` on arrays, for
-ensembles and recorded samples, and ``_velocity_scalar`` on Python floats,
-the right-hand side of a single path; a test pins the one to the other.
-
-The beable acceleration is the quantum-potential force
-
-    a(y, t) = -(1/m) dQ/dy,
-
-with no classical potential between slit plane and screen.  Integrating
-dy/dt = v with an adaptive embedded Runge-Kutta 4(5) scheme and then
-differentiating the recorded velocity numerically must reproduce a(y(t), t)
-along the path; both channels are recorded so that the consistency is a
-checkable property of every integration, not an assumption.
+A trajectory moves with the guidance velocity v(y, t) = (hbar/m)
+Im(psi'/psi) at its position and is accelerated by the quantum force
+a(y, t) = -(1/m) dQ/dy.  Both are closed forms owned by ``wavefield``;
+this module integrates dy/dt = v, for one path and for ensembles.  A
+single path's right-hand side evaluates the closed form on Python floats
+and an ensemble's on arrays, with the same bits.  Integrating with an
+adaptive embedded Runge-Kutta 4(5) scheme and then differentiating the
+recorded velocity numerically must reproduce a(y(t), t) along the path;
+both channels are recorded so that the consistency is a checkable
+property of every integration, not an assumption.
 
 For t >= 0 psi has no zero, so the velocity is finite for every finite y
 and a path is integrated to t_end wherever it goes: through the node
@@ -51,17 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import wavefield
 from .errors import ConfigError, NumericalError
 from .units import PhysicalConstants
-from .wavefield import (
-    SlitExperiment,
-    _closed_form_args,
-    _psi_derivs,
-    _q_grad_q_of,
-    grad_quantum_potential,
-    sigma_t,
-    spreading_parameter,
-)
+from .wavefield import SlitExperiment, _psi_derivs, sigma_t
 
 DEFAULT_TOL = 1.0e-9
 CDF_GRID_POINTS = 2 ** 16
@@ -108,9 +84,6 @@ MAX_FACTOR = 10.0
 # NumPy 2.4.6).  Every element sees the same operations, so the bits do
 # not depend on the block size.
 RECORD_BLOCK = 2 ** 14
-# cosh is finite below this |argument| (cosh 710 = 1.1e308; it overflows
-# from 710.476), so only beyond it does _velocity_scalar need np.errstate.
-COSH_FINITE = 710.0
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -122,78 +95,6 @@ def solve_ivp(fun, t_span, y0, **options):
     """
     import scipy.integrate
     return scipy.integrate.solve_ivp(fun, t_span, y0, **options)
-
-
-def _velocity_raw(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """Guidance velocity (hbar/m) Im(psi'/psi) in cm/s, unmasked.
-
-    The real closed form of the module docstring.  Where cosh p overflows
-    sech p is 0, its exact limit, so far in the tails v tends to the
-    single-packet velocity.
-    """
-    return _velocity_of(exp, consts, y, _closed_form_args(exp, consts, y, t))
-
-
-def _velocity_scalar(exp: SlitExperiment, consts: PhysicalConstants,
-                     y: float, t: float) -> float:
-    """``_velocity_raw`` at one (y, t), in Python float arithmetic.
-
-    The operations of ``_closed_form_args`` and ``_velocity_of`` in the
-    same order, with cosh, tanh, sin and cos from the same NumPy ufuncs
-    (``math.cosh`` and ``math.tanh`` round differently), so the result is
-    the bits of ``_velocity_raw`` on one-element arrays; a test pins this,
-    and a change to either form must be made in both.  A one-element call
-    of the array form, a dozen ufunc passes and an ``np.errstate``
-    context, took 24.6 us against 3.5 us for this form (best of 5 x
-    20,000; 2 cores, Python 3.11.7, NumPy 2.4.6), and a single path makes
-    about a thousand of them.
-    """
-    b = spreading_parameter(exp, consts, t)
-    alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
-    yy = exp.slit_half_separation_cm
-    p = 4.0 * yy * alpha * y
-    if abs(p) < COSH_FINITE:
-        sech = 1.0 / float(np.cosh(p))
-    else:
-        with np.errstate(over="ignore"):
-            sech = 1.0 / float(np.cosh(p))
-    bp = b * p
-    d = 1.0 + float(np.cos(bp)) * sech
-    return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
-        b * y - yy * (float(np.sin(bp)) * sech + b * float(np.tanh(p))) / d)
-
-
-def _velocity_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
-    """``_velocity_raw`` from ``_closed_form_args`` at the same y."""
-    b, alpha, _, sech, sin_bp, _, tanh_p, d = args
-    yy = exp.slit_half_separation_cm
-    y = np.asarray(y, dtype=float)
-    return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
-        b * y - yy * (sin_bp * sech + b * tanh_p) / d)
-
-
-def _velocity_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
-                           y, t):
-    """``_velocity_raw`` and ``bohmian_acceleration`` at (y, t >= 0), bit
-    for bit, from one evaluation of their shared transcendentals."""
-    args = _closed_form_args(exp, consts, y, t)
-    _, gq = _q_grad_q_of(exp, consts, y, args)
-    return _velocity_of(exp, consts, y, args), -gq / consts.electron_mass
-
-
-def velocity_field(exp: SlitExperiment, consts: PhysicalConstants,
-                   y, t: float):
-    """Guidance velocity (1/m) dS/dy in cm/s."""
-    if np.ndim(y) == 0:
-        return _velocity_scalar(exp, consts, float(y), float(t))
-    return _velocity_raw(exp, consts, y, t)
-
-
-def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
-                         y, t):
-    """Beable acceleration -(1/m) dQ/dy in cm/s^2."""
-    gq = grad_quantum_potential(exp, consts, y, t)
-    return -gq / consts.electron_mass
 
 
 @dataclass
@@ -227,9 +128,10 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     n_samples points from 0 to t_end.  Any finite nonzero y0 is accepted:
     the velocity comes from psi'/psi, which stays finite where |psi| is
     below the node floor, as in the tails and between the slits.  The
-    right-hand side is ``_velocity_scalar``, whose bits a test pins to the
-    array form's, so the path and its steps are those of ``_velocity_raw``;
-    the recorded v and a come from the array form, block by block.
+    right-hand side evaluates the closed form on Python floats, whose bits
+    a test pins to the array form's, so the path and its steps are those
+    of an array right-hand side; the recorded v and a come from the array
+    form, block by block.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -240,7 +142,8 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
         raise ConfigError("t_end must be positive and finite")
 
     def rhs(t, y):
-        return [_velocity_scalar(exp, consts, float(y[0]), float(t))]
+        args = wavefield._closed_form_args(exp, consts, float(y[0]), float(t))
+        return [wavefield._velocity_of(exp, consts, args)]
 
     t_eval = np.linspace(0.0, t_end, n_samples)
     atol = tol * max(abs(y0), exp.packet_width_cm)
@@ -255,7 +158,7 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     a_field = np.empty_like(y)
     for start in range(0, len(t), RECORD_BLOCK):
         block = slice(start, start + RECORD_BLOCK)
-        v[block], a_field[block] = _velocity_acceleration(
+        v[block], a_field[block] = wavefield._velocity_acceleration(
             exp, consts, y[block], t[block])
     a_numeric = np.gradient(v, t) if len(t) >= 3 else np.zeros_like(v)
     return Trajectory(
@@ -370,8 +273,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     what they mean for one path.  A lane that reaches t_end leaves the
     active set.  A lane whose step falls below 10 ulp of its time fails
     alone: its row is NaN.  The right-hand side is the real psi'/psi form of
-    ``_velocity_raw``, so lanes far in the tails propagate like a single
-    packet.
+    the guidance velocity, so lanes far in the tails propagate like a
+    single packet.
 
     Returns positions of shape (len(y0), len(t_eval)), filled from each
     lane's dense output; t_eval defaults to the single point t_end.
@@ -392,7 +295,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     rtol, atol = tol, tol * exp.packet_width_cm
 
     def rhs(t, y):
-        return _velocity_raw(exp, consts, y, t)
+        return wavefield._velocity_of(
+            exp, consts, wavefield._closed_form_args(exp, consts, y, t))
 
     exponent = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
     lane = np.arange(len(y))

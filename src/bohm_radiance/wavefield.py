@@ -18,8 +18,14 @@ quantum potential
 
     Q = -(hbar^2 / 2m) (d^2 R / dy^2) / R
 
-and its y-gradient.  Both come in closed form from the log-derivative
-L = psi'/psi, whose real part is R'/R.  For the two equal-width packets
+and its y-gradient, and the guidance velocity of a Bohmian path,
+
+    v = (1/m) dS/dy = (hbar/m) Im(psi* psi') / |psi|^2,
+
+whose acceleration is the quantum force a = -(1/m) dQ/dy (there is no
+classical potential between slit plane and screen).  All three come in
+closed form from the log-derivative L = psi'/psi, whose real part is R'/R
+and whose imaginary part is m v / hbar.  For the two equal-width packets
 psi = 2 N exp(-g (y^2 + Y^2)) cosh z with z = 2 g Y y, so
 
     L   = -2 g (y - Y tanh z)
@@ -28,14 +34,23 @@ psi = 2 N exp(-g (y^2 + Y^2)) cosh z with z = 2 g Y y, so
 
 and
 
+    v     = (hbar/m) Im L
     R''/R = Re L' + (Re L)^2
     Q'    = -(hbar^2/2m) (Re L'' + 2 Re L Re L').
 
 The prefactor and the Gaussian envelope cancel.  With g = alpha (1 - i b)
 and p = 4 alpha Y y = 2 Re z, tanh z and sech^2 z are real functions of p
-and b p, so Q and Q' are evaluated in real arithmetic, with no amplitude
-that could underflow: they are finite for every finite y and t >= 0.  All
-functions are pure and vectorized over y.
+and b p, so that
+
+    v = (hbar/m) 2 alpha [b y - Y (sin(bp) sech p + b tanh p)
+                                / (1 + cos(bp) sech p)],
+
+and v, Q and Q' are evaluated in real arithmetic, with no amplitude that
+could underflow: they are finite for every finite y and t >= 0.  All
+functions are pure and vectorized over y.  A Python float (y, t), the
+right-hand side of a single path, takes the same operations in float
+arithmetic, with cosh, sin, cos and tanh from the same NumPy ufuncs, so
+its bits are those of a one-element array (a test pins this).
 
 Samples where R falls below a floor (1e-12 of the packet peak scale at
 that t) carry no meaningful phase: S is returned as NaN there, a scan
@@ -68,6 +83,10 @@ R_FLOOR_FRACTION = 1.0e-12
 # Ratio kinetic energy / rest energy above which the non-relativistic
 # model is refused.
 RELATIVISTIC_RATIO_LIMIT = 0.2
+
+# cosh is finite below this |argument| (cosh 710 = 1.1e308; it overflows
+# from 710.476), so only beyond it does a float p need np.errstate.
+COSH_FINITE = 710.0
 
 
 @dataclass(frozen=True)
@@ -306,38 +325,61 @@ def amplitude_phase(exp: SlitExperiment, consts: PhysicalConstants,
 def _closed_form_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     """The real arguments and transcendentals of the closed form of psi'/psi.
 
-    Returns (b, alpha, p, sech p, sin bp, cos bp, tanh p, D) with
+    Returns (b, alpha, y, sech p, sin bp, cos bp, tanh p, D) with
     alpha = 1 / (4 sigma0^2 (1 + b^2)), p = 4 alpha Y y and
     D = 1 + cos(bp) sech p: every value that the guidance velocity and
-    Q, grad Q share, so a caller that needs both computes them once.
+    Q, grad Q share, so a caller that needs both computes them once.  y
+    comes back as a float array, or as a Python float when y and t are
+    floats; then the four transcendentals are the ufuncs' bits on that
+    float, and np.errstate is entered only where cosh p may overflow.
     sech p is 1/cosh p, which is 0 where cosh overflows, its exact limit.
     Each returned array is even or odd in y (b and alpha do not depend on
-    y; p, sin bp and tanh p are odd; sech p, cos bp and D are even).
+    y; y, sin bp and tanh p are odd; sech p, cos bp and D are even).
     """
     b = spreading_parameter(exp, consts, t)
     alpha = 1.0 / (4.0 * exp.packet_width_cm**2 * (1.0 + b * b))
-    p = 4.0 * exp.slit_half_separation_cm * alpha * np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        sech = 1.0 / np.cosh(p)
+    if type(y) is not float:
+        y = np.asarray(y, dtype=float)
+    p = 4.0 * exp.slit_half_separation_cm * alpha * y
     bp = b * p
-    cos_bp = np.cos(bp)
-    return b, alpha, p, sech, np.sin(bp), cos_bp, np.tanh(p), \
-        1.0 + cos_bp * sech
+    if type(p) is float:
+        if abs(p) < COSH_FINITE:
+            sech = 1.0 / float(np.cosh(p))
+        else:
+            with np.errstate(over="ignore"):
+                sech = 1.0 / float(np.cosh(p))
+        sin_bp, cos_bp = float(np.sin(bp)), float(np.cos(bp))
+        tanh_p = float(np.tanh(p))
+    else:
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(p)
+        sin_bp, cos_bp, tanh_p = np.sin(bp), np.cos(bp), np.tanh(p)
+    return b, alpha, y, sech, sin_bp, cos_bp, tanh_p, 1.0 + cos_bp * sech
+
+
+def _velocity_of(exp: SlitExperiment, consts: PhysicalConstants, args):
+    """The guidance velocity (hbar/m) Im L in cm/s, by the closed form of
+    the module docstring, from ``_closed_form_args``.  Where cosh p
+    overflows sech p is 0, so far in the tails v tends to the
+    single-packet velocity."""
+    b, alpha, y, sech, sin_bp, _, tanh_p, d = args
+    return (consts.hbar_ev_s / consts.electron_mass) * 2.0 * alpha * (
+        b * y - exp.slit_half_separation_cm * (sin_bp * sech + b * tanh_p)
+        / d)
 
 
 def _q_grad_q(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     """Q in eV and dQ/dy in eV/cm at (y, t); see ``_q_grad_q_of``."""
     if np.any(np.asarray(t) < 0.0):
         raise ConfigError("t must be >= 0")
-    return _q_grad_q_of(exp, consts, y, _closed_form_args(exp, consts, y, t))
+    return _q_grad_q_of(exp, consts, _closed_form_args(exp, consts, y, t))
 
 
-def _q_grad_q_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
+def _q_grad_q_of(exp: SlitExperiment, consts: PhysicalConstants, args):
     """Q and dQ/dy by the closed form of the module docstring.
 
-    ``args`` is ``_closed_form_args`` at the same y.  With c = cos(bp),
-    s = sech p and D = 1 + c s, which is at least 1 - s > 0 for p != 0
-    and 2 at p = 0,
+    ``args`` is ``_closed_form_args``.  With c = cos(bp), s = sech p and
+    D = 1 + c s, which is at least 1 - s > 0 for p != 0 and 2 at p = 0,
 
         tanh z   = Tr + i Ti = (tanh p - i sin(bp) s) / D
         sech^2 z = Sr + i Si = 1 - (Tr + i Ti)^2,
@@ -348,8 +390,7 @@ def _q_grad_q_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
     g^2 = alpha^2 (1 - b^2 - 2 i b) and
     g^3 = alpha^3 (1 - 3 b^2 + i (b^3 - 3 b)).
     """
-    b, alpha, _, sech, sin_bp, cos_bp, tanh_p, d = args
-    y = np.asarray(y, dtype=float)
+    b, alpha, y, sech, sin_bp, cos_bp, tanh_p, d = args
     yy = exp.slit_half_separation_cm
     tr = tanh_p / d
     ti = -sin_bp * sech / d
@@ -364,18 +405,41 @@ def _q_grad_q_of(exp: SlitExperiment, consts: PhysicalConstants, y, args):
     return k * (re_l1 + re_l * re_l), k * (re_l2 + 2.0 * re_l * re_l1)
 
 
+def _velocity_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
+                           y, t):
+    """``velocity_field`` and ``bohmian_acceleration`` at (y, t >= 0), bit
+    for bit, from one evaluation of their shared transcendentals."""
+    args = _closed_form_args(exp, consts, y, t)
+    _, gq = _q_grad_q_of(exp, consts, args)
+    return _velocity_of(exp, consts, args), -gq / consts.electron_mass
+
+
 def quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                       y, t: float):
     """Q = -(hbar^2/2m) R''/R in eV."""
     q, _ = _q_grad_q(exp, consts, y, t)
-    return float(q) if q.ndim == 0 else q
+    return float(q) if np.ndim(q) == 0 else q
 
 
 def grad_quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                            y, t: float):
     """dQ/dy in eV/cm."""
     _, gq = _q_grad_q(exp, consts, y, t)
-    return float(gq) if gq.ndim == 0 else gq
+    return float(gq) if np.ndim(gq) == 0 else gq
+
+
+def velocity_field(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """Guidance velocity (1/m) dS/dy = (hbar/m) Im(psi'/psi) in cm/s."""
+    if np.any(np.asarray(t) < 0.0):
+        raise ConfigError("t must be >= 0")
+    v = _velocity_of(exp, consts, _closed_form_args(exp, consts, y, t))
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
+                         y, t):
+    """Beable acceleration -(1/m) dQ/dy in cm/s^2."""
+    return -grad_quantum_potential(exp, consts, y, t) / consts.electron_mass
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +495,15 @@ def symmetric_grid(half_range: float, n_samples: int) -> np.ndarray:
     return step * np.arange(-half, half + 1)
 
 
+def _mirrored_q_grad_q(exp: SlitExperiment, consts: PhysicalConstants,
+                       y: np.ndarray, t):
+    """Q and dQ/dy on a grid exactly symmetric about 0, evaluated on its
+    y >= 0 half and mirrored (Q even, grad Q odd)."""
+    q_half, gq_half = _q_grad_q(exp, consts, y[y.size // 2:], t)
+    return (np.concatenate((q_half[:0:-1], q_half)),
+            np.concatenate((-gq_half[:0:-1], gq_half)))
+
+
 def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
                        x_cm: float, y_half_range_cm: float,
                        n_samples: int) -> ScanResult:
@@ -446,10 +519,7 @@ def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
     t = exp.section_time_s(x_cm)
     y = symmetric_grid(y_half_range_cm, n_samples)
     p = _psi_derivs(exp, consts, y, t)[0]
-    half = y.size // 2
-    q_half, gq_half = _q_grad_q(exp, consts, y[half:], t)
-    q = np.concatenate((q_half[:0:-1], q_half))
-    gq = np.concatenate((-gq_half[:0:-1], gq_half))
+    q, gq = _mirrored_q_grad_q(exp, consts, y, t)
     singular = ~(np.abs(p) > r_floor(exp, consts, t))
     result = ScanResult(x_cm=x_cm, t_s=t, y=y, psi=p, q=q, grad_q=gq,
                         singular=singular)

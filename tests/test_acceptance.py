@@ -141,7 +141,7 @@ def test_field_correctness(exp, paper, masked_samples):
     np.testing.assert_allclose(wf.quantum_potential(exp, paper, ys, t),
                                wf.quantum_potential(exp, paper, -ys, t),
                                rtol=1e-10)
-    assert tr.velocity_field(exp, paper, 0.0, t) == 0.0
+    assert wf.velocity_field(exp, paper, 0.0, t) == 0.0
 
     # no axis crossing across 1e3 sampled launches
     y0 = tr.sample_initial_positions(exp, paper, 1000, seed=17)

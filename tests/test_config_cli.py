@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from itertools import repeat
 from pathlib import Path
 
@@ -472,8 +473,17 @@ def test_cli_numerical_error(tmp_path, capsys):
      "valley 1: acceleration_cm_s2 is inf"),
     ({"grad_q_ev_per_cm": 1e300, "tau_s": 2.8e-11, "v0_cm_per_s": 1e300},
      3, "valley 1: acceleration_cm_s2 is inf"),
+    # v0^2 + 2 a dy underflows to 0 or a subnormal; tau is 1e195, 1e160
+    # and 3.3e-8 s
+    ({"grad_q_ev_per_cm": 0.0, "dy_cm": 1e-5, "v0_cm_per_s": 1e-200}, 0,
+     None),
+    ({"grad_q_ev_per_cm": 0.0, "dy_cm": 1.0, "v0_cm_per_s": 1e-160}, 0,
+     None),
+    ({"grad_q_ev_per_cm": 1e-300, "dy_cm": 1e-300, "v0_cm_per_s": 0}, 0,
+     None),
 ], ids=["grad_q_1e200", "tau_5e-324", "grad_q_1e150", "v0_1e200",
-        "dy_1e300", "tau_underflow", "accel_inf_dy", "accel_inf_tau"])
+        "dy_1e300", "tau_underflow", "accel_inf_dy", "accel_inf_tau",
+        "v0_1e-200", "v0_1e-160", "disc_underflow"])
 def test_cli_overflowing_valley(tmp_path, capsys, sub, valley, code, note):
     # a step whose power or cutoff overflows is a numerical failure with
     # the field named, not a traceback from json.dumps or collision_time
@@ -490,6 +500,73 @@ def test_cli_overflowing_valley(tmp_path, capsys, sub, valley, code, note):
     else:
         assert status == "incomplete"
         assert note in err
+
+
+# 0, or a magnitude from 1e-300 to 1e300, spread evenly in its exponent,
+# with both ends drawn often
+MAGNITUDE = st.sampled_from([0.0, 1e-300, 1e300]) \
+    | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def valley_configs(draw):
+    """Schema-valid reproduction-mode valleys: a gradient, an optional
+    entry speed, and a wall width or a traversal time."""
+    valleys = []
+    for _ in range(draw(st.integers(1, 3))):
+        valley = {"grad_q_ev_per_cm": draw(MAGNITUDE)}
+        if draw(st.booleans()):
+            valley["v0_cm_per_s"] = draw(MAGNITUDE)
+        key = draw(st.sampled_from(["dy_cm", "tau_s"]))
+        valley[key] = draw(MAGNITUDE.filter(lambda v: v > 0.0))
+        valleys.append(valley)
+    return {"valleys": valleys}
+
+
+def _reject_non_finite(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+# 150 examples of 4 subcommands each take about 10 s on 2 cores; the
+# examples are the same on every run
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(payload=valley_configs())
+def test_valley_inputs_keep_the_exit_code_contract(payload):
+    # any schema-valid valleys give exit 0 or 3 with a manifest, and no
+    # JSON output holds NaN or Infinity
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = Path(tmp) / "cfg.json"
+        cfgfile.write_text(json.dumps(payload), encoding="utf-8")
+        for sub in ("spectrum", "table1", "detectability", "compare"):
+            out = Path(tmp) / sub
+            code = main([sub, "--config", str(cfgfile), "--out", str(out)])
+            assert code in (0, 3)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == ("complete" if code == 0
+                                          else "incomplete")
+            for doc in out.glob("*.json"):
+                json.loads(doc.read_text(), parse_constant=_reject_non_finite)
+
+
+@pytest.mark.parametrize("sub", ["quantum-potential", "valley-report",
+                                 "compare", "simulate-trajectories"])
+@pytest.mark.parametrize("width, error", [(1e160, "OverflowError"),
+                                          (1e-200, "ZeroDivisionError")])
+def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys, sub,
+                                                   width, error):
+    # packet_width_cm**2 overflows or underflows in the spreading
+    # parameter: exit 3 naming the exception, not a traceback
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"experiment": {"packet_width_cm": width}}),
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfgfile), "--out", str(out),
+                 "--n", "100", "--t-end", "5e-10"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"numerical failure: {error}" in err
+    status = json.loads((out / "manifest.json").read_text())["status"]
+    assert status == "incomplete"
 
 
 def test_cli_io_error(tmp_path, capsys):

@@ -71,8 +71,12 @@ def test_collision_time_reference(paper):
 
 def test_collision_time_satisfies_quadratic(paper):
     a = paper.acceleration_from_gradient(3.06)
-    # the last two overflow v0^2 + 2 a dy
-    for v0, dy in ((1.5e4, 1.0e-4 / 7.0), (1e200, 1e-5), (0.0, 1e300)):
+    # the second and third overflow v0^2 + 2 a dy; in the last three it
+    # underflows to a subnormal or to 0, where tau was 2 dy/v0, off by
+    # 2.8e-6, and a ZeroDivisionError
+    for v0, a, dy in ((1.5e4, a, 1.0e-4 / 7.0), (1e200, a, 1e-5),
+                      (0.0, a, 1e300), (1e-200, 0.0, 1e-5),
+                      (1e-160, 0.0, 1.0), (0.0, 1.8e-285, 1e-300)):
         tau = rad.collision_time(v0, a, dy)
         assert v0 * tau + 0.5 * a * tau * tau == pytest.approx(
             dy, rel=1e-12, abs=0.0)

@@ -35,28 +35,28 @@ def test_velocity_zero_on_axis(exp, paper):
     # by mirror symmetry the axis carries exactly zero guidance velocity,
     # also at t = 0, where R there is ~1e-22 of the peak
     for t in (0.0, exp.section_time_s(5.0), exp.section_time_s(18.0)):
-        assert tr.velocity_field(exp, paper, 0.0, t) == 0.0
+        assert wf.velocity_field(exp, paper, 0.0, t) == 0.0
 
 
 def test_velocity_zero_at_t0(exp, paper):
     # the initial packets are real: no transverse motion anywhere at t = 0
     y = np.linspace(3.7e-5, 7e-5, 101)  # inside the packets
-    v = tr.velocity_field(exp, paper, y, 0.0)
+    v = wf.velocity_field(exp, paper, y, 0.0)
     assert np.max(np.abs(v)) == 0.0
 
 
 def test_velocity_antisymmetry(exp, paper):
     y = np.linspace(1e-5, 6e-4, 500)
     t = exp.section_time_s(18.0)
-    v_plus = tr.velocity_field(exp, paper, y, t)
-    v_minus = tr.velocity_field(exp, paper, -y, t)
+    v_plus = wf.velocity_field(exp, paper, y, t)
+    v_minus = wf.velocity_field(exp, paper, -y, t)
     np.testing.assert_allclose(v_minus, -v_plus, rtol=1e-12)
 
 
 def test_velocity_zero_in_dead_zone(exp, paper):
     # the initial packets are real: between the slits, far below the
     # amplitude floor, the velocity is still exactly zero
-    assert tr.velocity_field(exp, paper, 0.5e-6, 0.0) == 0.0
+    assert wf.velocity_field(exp, paper, 0.5e-6, 0.0) == 0.0
 
 
 def test_velocity_far_tail_single_packet(exp, paper):
@@ -71,13 +71,13 @@ def test_velocity_far_tail_single_packet(exp, paper):
         y = np.concatenate([y, -y])
         expected = (paper.hbar_ev_s / paper.electron_mass) * 2.0 * alpha \
             * b * (y - np.sign(y) * yy)
-        np.testing.assert_allclose(tr.velocity_field(exp, paper, y, t),
+        np.testing.assert_allclose(wf.velocity_field(exp, paper, y, t),
                                    expected, rtol=1e-12, atol=0.0)
     # nor is the velocity masked where R is far below the floor
     t = exp.time_of_flight_s / 2.0
     assert abs(wf.psi(exp, paper, 1e-2, t)) < 1e-100
-    assert tr.velocity_field(exp, paper, 1e-2, t) \
-        == tr._velocity_raw(exp, paper, 1e-2, t) > 0.0
+    assert wf.velocity_field(exp, paper, 1e-2, t) \
+        == wf.velocity_field(exp, paper, np.array([1e-2]), t)[0] > 0.0
 
 
 def _velocity_from_psi(exp, paper, y, t):
@@ -100,7 +100,7 @@ def test_velocity_matches_psi_derivatives(exp, paper):
         y = rng.uniform(-half, half, 10000)
         above = np.abs(wf.psi(exp, paper, y, t)) > wf.r_floor(exp, paper, t)
         np.testing.assert_allclose(
-            tr._velocity_raw(exp, paper, y[above], t),
+            wf.velocity_field(exp, paper, y[above], t),
             _velocity_from_psi(exp, paper, y[above], t), rtol=1e-9, atol=0.0)
         checked += above.sum()
     assert checked > 3.5e5
@@ -114,8 +114,8 @@ def test_velocity_scalar_and_lane_times_agree_bitwise(exp, paper):
     y = rng.uniform(-3e-4, 3e-4, 5000)
     for i in range(len(t)):
         np.testing.assert_array_equal(
-            tr._velocity_raw(exp, paper, y[i:i + 1], t[i:i + 1]),
-            tr._velocity_raw(exp, paper, y[i:i + 1], float(t[i])))
+            wf.velocity_field(exp, paper, y[i:i + 1], t[i:i + 1]),
+            wf.velocity_field(exp, paper, y[i:i + 1], float(t[i])))
 
 
 def _p_to_y(exp, paper, p, t):
@@ -143,16 +143,16 @@ def test_velocity_scalar_matches_array_form_bitwise(exp, paper):
         warnings.simplefilter("error")
         for t in times:
             p = np.concatenate([
-                [40.0, 100.0, 1000.0, tr.COSH_FINITE, overflow,
+                [40.0, 100.0, 1000.0, wf.COSH_FINITE, overflow,
                  np.nextafter(overflow, 0.0)],
                 overflow * (1.0 + rng.uniform(-1e-3, 1e-3, 200))])
             y = np.concatenate([10.0 ** rng.uniform(-12.0, 1.0, 400),
                                 [1.37e-5], _p_to_y(exp, paper, p, t)])
             y = np.concatenate([[0.0], y, -y])
-            scalar = np.array([tr._velocity_scalar(exp, paper, float(v),
-                                                   float(t)) for v in y])
+            scalar = np.array([wf.velocity_field(exp, paper, float(v),
+                                                 float(t)) for v in y])
             array = np.concatenate([
-                tr._velocity_raw(exp, paper, y[i:i + 1], t)
+                wf.velocity_field(exp, paper, y[i:i + 1], t)
                 for i in range(y.size)])
             np.testing.assert_array_equal(scalar.view(np.int64),
                                           array.view(np.int64))
@@ -176,7 +176,7 @@ def test_acceleration_gradient_examples(paper, exp):
 def test_acceleration_is_minus_gradq_over_m(exp, paper):
     y = np.linspace(4e-5, 6e-4, 200)
     t = exp.section_time_s(18.0)
-    a = tr.bohmian_acceleration(exp, paper, y, t)
+    a = wf.bohmian_acceleration(exp, paper, y, t)
     gq = wf.grad_quantum_potential(exp, paper, y, t)
     np.testing.assert_allclose(a, -gq / paper.electron_mass, rtol=1e-12)
 
@@ -198,7 +198,7 @@ def test_trajectory_velocity_channel_matches_field(exp, paper):
     traj = tr.integrate_trajectory(exp, paper, 4.9e-5,
                                    exp.time_of_flight_s, n_samples=512)
     for i in (1, 100, 300, 511):
-        v = tr.velocity_field(exp, paper, traj.y_cm[i], traj.t_s[i])
+        v = wf.velocity_field(exp, paper, traj.y_cm[i], traj.t_s[i])
         assert traj.vy_cm_s[i] == pytest.approx(v, rel=1e-8, abs=0.0)
 
 
@@ -242,7 +242,7 @@ def test_transport_lanes_match_single_path_rk45(exp, paper):
     finals = tr.transport(exp, paper, y0, t_end)[:, -1]
     fringe = wf.fringe_spacing(exp, paper, exp.screen_distance_cm)
     for lane, final in zip(y0, finals):
-        ref = solve_ivp(lambda t, y: tr._velocity_raw(exp, paper, y, t),
+        ref = solve_ivp(lambda t, y: wf.velocity_field(exp, paper, y, t),
                         (0.0, t_end), [lane], method="RK45",
                         rtol=tr.DEFAULT_TOL,
                         atol=tr.DEFAULT_TOL * exp.packet_width_cm)
@@ -303,12 +303,13 @@ def test_transport_failed_lane_is_nan_alone(exp, paper, monkeypatch):
     # or an exception, and leaves its neighbour's path untouched
     t_end = exp.time_of_flight_s
     lone = tr.transport(exp, paper, [5e-5], t_end)[:, -1]
-    velocity = tr._velocity_raw
+    closed_form_args = wf._closed_form_args
 
     def nan_in_far_tail(exp, consts, y, t):
-        return np.where(np.abs(y) > 1e-3, np.nan, velocity(exp, consts, y, t))
+        return closed_form_args(exp, consts,
+                                np.where(np.abs(y) > 1e-3, np.nan, y), t)
 
-    monkeypatch.setattr(tr, "_velocity_raw", nan_in_far_tail)
+    monkeypatch.setattr(wf, "_closed_form_args", nan_in_far_tail)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         finals = tr.transport(exp, paper, [5e-5, 1e-2], t_end)[:, -1]
@@ -400,11 +401,11 @@ def test_recording_blocks_keep_the_bits(exp, paper):
     # bit for bit, and so must one fused whole-array evaluation
     traj = tr.integrate_trajectory(exp, paper, 4.9e-5, exp.time_of_flight_s,
                                    n_samples=3 * tr.RECORD_BLOCK + 5)
-    v = tr._velocity_raw(exp, paper, traj.y_cm, traj.t_s)
-    a = tr.bohmian_acceleration(exp, paper, traj.y_cm, traj.t_s)
+    v = wf.velocity_field(exp, paper, traj.y_cm, traj.t_s)
+    a = wf.bohmian_acceleration(exp, paper, traj.y_cm, traj.t_s)
     np.testing.assert_array_equal(traj.vy_cm_s, v)
     np.testing.assert_array_equal(traj.ay_field, a)
-    v_fused, a_fused = tr._velocity_acceleration(exp, paper, traj.y_cm,
+    v_fused, a_fused = wf._velocity_acceleration(exp, paper, traj.y_cm,
                                                  traj.t_s)
     np.testing.assert_array_equal(v_fused, v)
     np.testing.assert_array_equal(a_fused, a)
@@ -426,7 +427,7 @@ def test_paths_match_the_array_rhs_bitwise(exp, paper, monkeypatch, y0):
 
     monkeypatch.setattr(tr, "solve_ivp", recording)
     traj = tr.integrate_trajectory(exp, paper, y0, t_end)
-    ref = solve_ivp(lambda t, y: tr._velocity_raw(exp, paper, y, t),
+    ref = solve_ivp(lambda t, y: wf.velocity_field(exp, paper, y, t),
                     (0.0, t_end), [y0], method="RK45", t_eval=traj.t_s,
                     rtol=tr.DEFAULT_TOL,
                     atol=tr.DEFAULT_TOL * max(abs(y0), exp.packet_width_cm))
@@ -437,21 +438,25 @@ def test_paths_match_the_array_rhs_bitwise(exp, paper, monkeypatch, y0):
 
 def test_single_path_rhs_makes_no_array_pass(exp, paper, monkeypatch):
     # only the recording blocks evaluate the closed form on arrays, one
-    # call per block; the right-hand side is the scalar form
+    # call per block; the right-hand side evaluates it on Python floats
     n_samples = 2 * tr.RECORD_BLOCK + 5
     calls = []
+    float_calls = []
     closed_form_args = wf._closed_form_args
 
     def counting(exp, consts, y, t):
-        calls.append(np.size(y))
+        if type(y) is float:
+            float_calls.append(type(t) is float)
+        else:
+            calls.append(np.size(y))
         return closed_form_args(exp, consts, y, t)
 
-    monkeypatch.setattr(tr, "_closed_form_args", counting)
     monkeypatch.setattr(wf, "_closed_form_args", counting)
     tr.integrate_trajectory(exp, paper, 4.9e-5, exp.time_of_flight_s,
                             n_samples=n_samples)
     assert len(calls) == math.ceil(n_samples / tr.RECORD_BLOCK)
     assert sum(calls) == n_samples
+    assert len(float_calls) > 100 and all(float_calls)
 
 
 # ---------------------------------------------------------------------------

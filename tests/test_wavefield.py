@@ -516,3 +516,16 @@ def test_scan_channels_match_public_functions(exp, paper, scan18):
     assert np.array_equal(scan18.grad_q,
                           wf.grad_quantum_potential(exp, paper, y, t),
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("t", [-1e-9, np.array([1e-9, -1e-9])],
+                         ids=["scalar", "array"])
+def test_field_functions_refuse_negative_t(exp, paper, t):
+    # the guidance velocity refuses t < 0 as Q, grad Q, the acceleration
+    # and psi do; before, it returned -5.7e4 cm/s at y = 6e-5 cm
+    for f in (wf.velocity_field, wf.quantum_potential,
+              wf.grad_quantum_potential, wf.bohmian_acceleration, wf.psi):
+        with pytest.raises(ConfigError, match="t must be >= 0"):
+            f(exp, paper, 6e-5, t)
+        with pytest.raises(ConfigError, match="t must be >= 0"):
+            f(exp, paper, np.array([6e-5, -6e-5]), t)
