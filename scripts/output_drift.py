@@ -2,11 +2,12 @@
 
     python scripts/output_drift.py OLD_SRC NEW_SRC
 
-Writes the data files of output_digests.py's matrix (every section, mode
-and subcommand) once per tree, each in a fresh interpreter that imports
-the package from that tree's ``src/`` directory, and compares them file
-by file.  For each file that differs it prints the largest change of a
-number relative to the peak magnitude of its column (a CSV column, or a
+Writes the data files of every subcommand in both modes, for the default
+config and for a few cross sections, once per tree, each in a fresh
+interpreter that imports the package from that tree's ``src/`` directory,
+and compares them file by file (the manifest, which carries a timestamp,
+is left out).  For each file that differs it prints the largest change of
+a number relative to the peak magnitude of its column (a CSV column, or a
 JSON key path with list indices dropped), that column, and the largest
 pointwise relative change.  It exits 1 when a file differs in anything
 but numbers (text, flags, ``nan`` cells, structure), exists in one tree
@@ -24,12 +25,47 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
 
-# runs output_digests.write_outputs with the package of argv[1] and prints
-# the runs as JSON
+# None keeps the configured section; the rest span the screen-side range
+# and include 2.0 cm, where the default scan has singular rows
+SECTIONS_CM = (None, 2.0, 2.7, 11.3, 34.9)
+MODES = ("reproduction", "simulation")
+
+# runs write_outputs with the package of argv[1] and prints the runs as
+# JSON
 CHILD = ("import json, sys; from pathlib import Path; "
          "sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-         "from output_digests import write_outputs; "
+         "from output_drift import write_outputs; "
          "print(json.dumps(write_outputs(Path(sys.argv[3]))))")
+
+
+def write_outputs(root: Path) -> list[tuple[str, str | None]]:
+    """Run every subcommand in both modes at each of SECTIONS_CM, into
+    root/<section>/<mode>/<subcommand>/, with the package that is first
+    on ``sys.path``.
+
+    Returns (section/mode/subcommand, error type name or None) per run,
+    in run order.
+    """
+    from bohm_radiance.config import load_config
+    from bohm_radiance.errors import ConfigError, NumericalError
+    from bohm_radiance.runner import SUBCOMMANDS, run
+
+    runs = []
+    for x_cm in SECTIONS_CM:
+        section = "default" if x_cm is None else f"x{x_cm}cm"
+        for mode in MODES:
+            for sub in SUBCOMMANDS:
+                prefix = f"{section}/{mode}/{sub}"
+                over = {"mode": mode, "output_dir": str(root / prefix)}
+                if x_cm is not None:
+                    over["experiment"] = {"cross_section_x_cm": x_cm}
+                error = None
+                try:
+                    run(sub, load_config(None, over))
+                except (ConfigError, NumericalError) as exc:
+                    error = type(exc).__name__
+                runs.append((prefix, error))
+    return runs
 
 
 class NotNumeric(Exception):
@@ -37,7 +73,7 @@ class NotNumeric(Exception):
 
 
 def write_tree(src: Path, root: Path) -> dict[str, str | None]:
-    """Write the matrix with the package in src; error name per run."""
+    """Write the outputs with the package in src; error name per run."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(src), str(SCRIPTS), str(root)],
         check=True, capture_output=True, text=True)

@@ -21,6 +21,7 @@ import jsonschema
 from .errors import ConfigError
 from .presets import PAPER_VALLEY_INPUTS
 from .radiance import ValleyInput
+from .trajectories import DEFAULT_PATH_SAMPLES, DEFAULT_TOL
 from .units import PhysicalConstants, constants
 from .wavefield import JONSSON_DEFAULTS, SlitExperiment, make_experiment
 
@@ -43,8 +44,8 @@ DEFAULT_CONFIG: dict = {
     ],
     "ensemble": {"n": 1000, "seed": 20210905, "t_end_s": None},
     "scan": {"y_half_range_cm": 8.0e-4, "n_samples": 16385},
-    "trajectories": {"y0_list_cm": [4.9e-5, 5.1e-5], "n_samples": 4096,
-                     "tol": 1.0e-9},
+    "trajectories": {"y0_list_cm": [4.9e-5, 5.1e-5],
+                     "n_samples": DEFAULT_PATH_SAMPLES, "tol": DEFAULT_TOL},
     "output_dir": "out",
 }
 
@@ -192,7 +193,6 @@ def load_config(path: str | Path | None = None,
             kinetic_energy_ev=exp_raw["kinetic_energy_eV"],
             screen_distance_cm=exp_raw["screen_distance_cm"],
             cross_section_x_cm=exp_raw["cross_section_x_cm"],
-            forward_speed_cm_s=exp_raw.get("forward_speed_cm_s"),
         )
     except ConfigError as exc:
         raise ConfigError(f"experiment: {exc}") from None

@@ -10,8 +10,5 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A computation could not be completed (invalid ensemble, overflow)."""
-
-
-class DomainError(NumericalError):
-    """Inputs outside the mathematical domain of an operation."""
+    """A computation could not be completed: an invalid ensemble, an
+    overflow, or inputs outside the domain of an operation."""

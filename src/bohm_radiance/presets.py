@@ -63,13 +63,9 @@ PAPER_VALLEY_INPUTS: tuple[ValleyInput, ...] = (
                 tau_s=1.09e-10, index=4),
 )
 
-# Valley-2 wall width consistent with tau_2 (one-sided traversal).
-VALLEY2_WALL_WIDTH_CM = 1.0e-4 / 7.0
-
 # Published current-scaled power for valley 4 prints a value ten times
 # below what linear current scaling gives; outputs carry the consistent
 # value and flag the row.
-REFERENCE_ROW4_POWER_JONSSON_W = 1.25e-20
 ROW4_SCALING_NOTE = (
     "published current-scaled power for valley 4 (1.25e-20 W) is ten "
     "times below the linear-scaling result; the scaling-consistent value "
@@ -80,7 +76,6 @@ ROW4_SCALING_NOTE = (
 class BeamCurrent:
     """A beam current, as an electron rate and in amperes."""
 
-    label: str
     electrons_per_second: float
     amperes: float
 
@@ -92,7 +87,6 @@ class BeamCurrent:
 def tonomura_current(consts: PhysicalConstants) -> BeamCurrent:
     """The 1e3 e-/s single-electron-regime reference current."""
     return BeamCurrent(
-        label="tonomura",
         electrons_per_second=TONOMURA_RATE_E_PER_S,
         amperes=TONOMURA_RATE_E_PER_S * consts.electron_charge_c,
     )
@@ -103,8 +97,7 @@ def jonsson_current(consts: PhysicalConstants) -> BeamCurrent:
     area_cm2 = 2 * JONSSON_SLIT_WIDTH_CM * JONSSON_SLIT_HEIGHT_CM
     amperes = JONSSON_CURRENT_DENSITY_MA_CM2 * 1.0e-3 * area_cm2
     rate = amperes / consts.electron_charge_c
-    return BeamCurrent(label="jonsson", electrons_per_second=rate,
-                       amperes=amperes)
+    return BeamCurrent(electrons_per_second=rate, amperes=amperes)
 
 
 def current_scaled_power(p_single_w: float, current: BeamCurrent) -> float:

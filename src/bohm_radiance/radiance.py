@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, NumericalError
 from .units import PhysicalConstants
 from .wavefield import (
     SlitExperiment,
@@ -71,7 +71,7 @@ def copenhagen_emission_power() -> float:
 def emission_power(consts: PhysicalConstants, a_cm_s2: float) -> float:
     """P = (4/3)(alpha hbar / c^2) a^2, in W."""
     if not math.isfinite(a_cm_s2):
-        raise DomainError("acceleration must be finite")
+        raise NumericalError("acceleration must be finite")
     return consts.larmor_prefactor * a_cm_s2 * a_cm_s2 * consts.ev_to_joule
 
 
@@ -93,11 +93,11 @@ def collision_time(v0_cm_s: float, a_cm_s2: float, dy_cm: float) -> float:
     ballistic dy/v0.
     """
     if dy_cm <= 0.0:
-        raise DomainError("wall width dy must be positive")
+        raise NumericalError("wall width dy must be positive")
     if v0_cm_s < 0.0 or a_cm_s2 < 0.0:
-        raise DomainError("v0 and a must be non-negative")
+        raise NumericalError("v0 and a must be non-negative")
     if a_cm_s2 == 0.0 and v0_cm_s == 0.0:
-        raise DomainError("no positive traversal time for v0 = 0 and a = 0")
+        raise NumericalError("no positive traversal time for v0 = 0 and a = 0")
     # Stable form of the quadratic root (no cancellation as a -> 0).
     try:
         disc = v0_cm_s**2 + 2.0 * a_cm_s2 * dy_cm
@@ -120,9 +120,9 @@ def photon_energy_frequency(consts: PhysicalConstants, power_w: float,
     E = P tau, nu = E / h.
     """
     if power_w < 0.0:
-        raise DomainError("power must be non-negative")
+        raise NumericalError("power must be non-negative")
     if tau_s <= 0.0:
-        raise DomainError("tau must be positive")
+        raise NumericalError("tau must be positive")
     energy = power_w * tau_s
     return energy, energy / consts.planck_h_j_s
 
@@ -180,7 +180,7 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     """Full per-valley emission characteristics from a ValleyInput."""
     a = consts.acceleration_from_gradient(vi.grad_q_ev_per_cm)
     if not math.isfinite(a):
-        raise DomainError(
+        raise NumericalError(
             f"valley {vi.index}: acceleration_cm_s2 is {a!r}; the inputs "
             "overflow double precision")
     if vi.tau_s is not None:
@@ -188,7 +188,7 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     else:
         tau = collision_time(vi.v0_cm_s, a, vi.dy_cm)
         if tau == 0.0:
-            raise DomainError(
+            raise NumericalError(
                 f"valley {vi.index}: tau_s is 0.0; the inputs overflow or "
                 "underflow double precision")
     delta_v = a * tau
@@ -211,7 +211,7 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     for f in fields(step):
         value = getattr(step, f.name)
         if not math.isfinite(value):
-            raise DomainError(
+            raise NumericalError(
                 f"valley {vi.index}: {f.name} is {value!r}; the inputs "
                 "overflow double precision")
     return step
@@ -261,7 +261,7 @@ def angular_factor(theta: float) -> float:
     Integrates to 8 pi / 3 over the sphere.
     """
     if not 0.0 <= theta <= math.pi:
-        raise DomainError("theta must lie in [0, pi]")
+        raise NumericalError("theta must lie in [0, pi]")
     return math.sin(theta) ** 2
 
 

@@ -47,9 +47,6 @@ from .radiance import (
 from .trajectories import integrate_trajectory, run_ensemble
 from .wavefield import _polar, cross_section_scan
 
-SUBCOMMANDS = ("quantum-potential", "simulate-trajectories", "valley-report",
-               "spectrum", "table1", "detectability", "compare")
-
 
 @dataclass
 class RunManifest:
@@ -281,13 +278,14 @@ def _cmd_compare(cfg: RunConfig, em: _Emitter) -> None:
 
 _HANDLERS = {
     "quantum-potential": _cmd_quantum_potential,
-    "valley-report": _cmd_valley_report,
     "simulate-trajectories": _cmd_simulate_trajectories,
+    "valley-report": _cmd_valley_report,
     "spectrum": _cmd_spectrum,
     "table1": _cmd_table1,
     "detectability": _cmd_detectability,
     "compare": _cmd_compare,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run(subcommand: str, cfg: RunConfig) -> RunManifest:

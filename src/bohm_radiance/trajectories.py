@@ -40,6 +40,8 @@ from .units import PhysicalConstants
 from .wavefield import SlitExperiment, _psi_derivs, sigma_t
 
 DEFAULT_TOL = 1.0e-9
+# Samples on the recording grid of a single path.
+DEFAULT_PATH_SAMPLES = 4096
 CDF_GRID_POINTS = 2 ** 16
 # Half-range of sampling/comparison grids, in packet widths beyond the slit.
 GRID_PADDING_SIGMAS = 10.0
@@ -102,11 +104,10 @@ class Trajectory:
     """A time-sampled path with velocity and both acceleration channels.
 
     ay_field is -(dQ/dy)/m evaluated at the sample; ay_numeric is the
-    numerical time derivative of vy on the recording grid.  x(t) = v_x t.
+    numerical time derivative of vy on the recording grid.  x(t) = v_x t,
+    with v_x the forward speed of the experiment.
     """
 
-    y0_cm: float
-    forward_speed_cm_s: float
     t_s: np.ndarray
     y_cm: np.ndarray
     vy_cm_s: np.ndarray
@@ -120,7 +121,8 @@ class Trajectory:
 
 def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                          y0: float, t_end: float, tol: float = DEFAULT_TOL,
-                         n_samples: int = 4096) -> Trajectory:
+                         n_samples: int = DEFAULT_PATH_SAMPLES
+                         ) -> Trajectory:
     """Integrate dy/dt = v(y, t) from (y0, 0) to t_end.
 
     Local error per step is controlled at ``tol`` (relative) by the
@@ -162,8 +164,6 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
             exp, consts, y[block], t[block])
     a_numeric = np.gradient(v, t) if len(t) >= 3 else np.zeros_like(v)
     return Trajectory(
-        y0_cm=y0,
-        forward_speed_cm_s=exp.forward_speed_cm_s,
         t_s=t,
         y_cm=y,
         vy_cm_s=v,
@@ -369,19 +369,17 @@ def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,
     Lanes are stepped independently by ``transport``; results are indexed
     in draw order, so a fixed seed reproduces final positions bitwise.  A
     lane that fails to propagate comes back NaN and is counted in
-    ``n_failed``; the KS distance is taken over the finite finals.
+    ``n_failed``; the KS distance is taken over the finite finals, and an
+    ensemble with none raises NumericalError.
     """
     if n < 100:
         raise ConfigError("ensemble size must be >= 100")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ConfigError("t_end must be finite and >= 0")
     y0 = sample_initial_positions(exp, consts, n, seed)
-    if t_end == 0.0:
-        finals = y0.copy()
-    else:
-        finals = transport(exp, consts, y0, t_end, tol=tol)[:, -1]
+    finals = transport(exp, consts, y0, t_end, tol=tol)[:, -1]
     finite = np.isfinite(finals)
     n_failed = int(n - finite.sum())
+    if n_failed == n:
+        raise NumericalError(f"all {n} trajectories failed to propagate")
     valid = n_failed <= 0.01 * n
     ks = ks_statistic_against_density(exp, consts, finals[finite], t_end)
     return EnsembleResult(

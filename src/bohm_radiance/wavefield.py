@@ -93,9 +93,9 @@ COSH_FINITE = 710.0
 class SlitExperiment:
     """Geometry and beam parameters of the two-Gaussian-slit setup.
 
-    Lengths in cm, speeds in cm/s, energies in eV.  Each packet is
-    normalized at t = 0; the velocity, Q and grad Q come from psi'/psi,
-    in which no overall factor of psi survives.
+    Lengths in cm, speeds in cm/s.  Each packet is normalized at t = 0;
+    the velocity, Q and grad Q come from psi'/psi, in which no overall
+    factor of psi survives.
 
     slit_half_separation_cm may be zero: that is the degenerate
     single-packet limit used by closed-form oracles.  Configuration
@@ -104,7 +104,6 @@ class SlitExperiment:
 
     slit_half_separation_cm: float   # Y
     packet_width_cm: float           # sigma0
-    kinetic_energy_ev: float
     forward_speed_cm_s: float        # v_x
     screen_distance_cm: float        # D
     cross_section_x_cm: float        # section position for scans
@@ -114,8 +113,6 @@ class SlitExperiment:
             raise ConfigError("slit_half_separation_cm must be >= 0")
         if self.packet_width_cm <= 0.0:
             raise ConfigError("packet_width_cm must be positive")
-        if self.kinetic_energy_ev <= 0.0:
-            raise ConfigError("kinetic_energy_ev must be positive")
         if self.forward_speed_cm_s <= 0.0:
             raise ConfigError("forward_speed_cm_s must be positive")
         if not 0.0 < self.cross_section_x_cm <= self.screen_distance_cm:
@@ -154,33 +151,24 @@ def make_experiment(consts: PhysicalConstants,
                     packet_width_cm: float,
                     kinetic_energy_ev: float,
                     screen_distance_cm: float,
-                    cross_section_x_cm: float,
-                    forward_speed_cm_s: float | None = None) -> SlitExperiment:
-    """Validated construction: non-relativistic guard and p^2/2m consistency.
-
-    If forward_speed_cm_s is omitted it is derived from the kinetic
-    energy; if given, it must agree with p^2/2m to 1 part in 1e6.
-    """
+                    cross_section_x_cm: float) -> SlitExperiment:
+    """Validated construction: non-relativistic guard, and the forward
+    speed derived from the kinetic energy by E = p^2/2m."""
     if slit_half_separation_cm <= 0.0:
         raise ConfigError("slit_half_separation_cm must be positive")
+    if kinetic_energy_ev <= 0.0:
+        raise ConfigError("kinetic_energy_ev must be positive")
     ratio = kinetic_energy_ev / consts.electron_rest_energy_ev
     if ratio > RELATIVISTIC_RATIO_LIMIT:
         raise ConfigError(
             f"kinetic energy is {ratio:.2f} of the rest energy; the "
             f"non-relativistic model is only valid below "
             f"{RELATIVISTIC_RATIO_LIMIT}")
-    v_expected = consts.speed_from_kinetic_energy(kinetic_energy_ev)
-    if forward_speed_cm_s is None:
-        forward_speed_cm_s = v_expected
-    elif abs(forward_speed_cm_s - v_expected) > 1.0e-6 * v_expected:
-        raise ConfigError(
-            f"forward_speed_cm_s={forward_speed_cm_s:g} inconsistent with "
-            f"p^2/2m for {kinetic_energy_ev:g} eV (expected {v_expected:g})")
     return SlitExperiment(
         slit_half_separation_cm=slit_half_separation_cm,
         packet_width_cm=packet_width_cm,
-        kinetic_energy_ev=kinetic_energy_ev,
-        forward_speed_cm_s=forward_speed_cm_s,
+        forward_speed_cm_s=consts.speed_from_kinetic_energy(
+            kinetic_energy_ev),
         screen_distance_cm=screen_distance_cm,
         cross_section_x_cm=cross_section_x_cm,
     )

@@ -17,14 +17,19 @@ from bohm_radiance import wavefield as wf
 from bohm_radiance.config import DEFAULT_CONFIG, load_config
 from bohm_radiance.presets import (
     PAPER_VALLEY_INPUTS,
-    REFERENCE_ROW4_POWER_JONSSON_W,
-    VALLEY2_WALL_WIDTH_CM,
     VALLEY_ENTRY_SPEED_CM_S,
     cmbr_flux,
     current_scaled_power,
     jonsson_current,
 )
 from bohm_radiance.runner import run
+
+# Valley-2 wall width consistent with tau_2 (one-sided traversal).
+VALLEY2_WALL_WIDTH_CM = 1.0e-4 / 7.0
+
+# The published current-scaled power for valley 4, ten times below what
+# linear current scaling gives (ROW4_SCALING_NOTE flags the row).
+REFERENCE_ROW4_POWER_JONSSON_W = 1.25e-20
 
 TABLE1_PRINTED = {
     # valley: (omega_c Hz, lambda_c cm, I0 eV/Hz, P_T W, P_J W)

@@ -114,9 +114,13 @@ def test_valley_requires_exactly_one_of_dy_tau(tmp_path):
 
 
 def test_forward_speed_consistency_enforced(tmp_path):
-    bad = {"experiment": {"forward_speed_cm_s": 1.0e10}}
-    with pytest.raises(ConfigError, match="inconsistent"):
-        load_config(write_config(tmp_path, bad))
+    # the speed is derived from kinetic_energy_eV, so the key is unknown,
+    # even at the derived value
+    v = load_config(None).experiment.forward_speed_cm_s
+    for speed in (v, 1.0e10):
+        bad = {"experiment": {"forward_speed_cm_s": speed}}
+        with pytest.raises(ConfigError, match="forward_speed_cm_s"):
+            load_config(write_config(tmp_path, bad))
 
 
 def test_config_schema_is_valid_against_metaschema():
@@ -567,6 +571,29 @@ def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys, sub,
     assert f"numerical failure: {error}" in err
     status = json.loads((out / "manifest.json").read_text())["status"]
     assert status == "incomplete"
+
+
+def test_cli_ensemble_without_a_finite_lane(tmp_path, capsys, monkeypatch):
+    # a closed form that is NaN on arrays fails every ensemble lane, while a
+    # single path's right-hand side, on floats, still runs: exit 3 naming
+    # the count, not a traceback from the KS distance of no finals
+    closed_form_args = wavefield._closed_form_args
+
+    def nan_on_arrays(exp, consts, y, t):
+        if type(y) is not float:
+            y = np.full(np.shape(y), np.nan)
+        return closed_form_args(exp, consts, y, t)
+
+    monkeypatch.setattr(wavefield, "_closed_form_args", nan_on_arrays)
+    out = tmp_path / "out"
+    assert main(["simulate-trajectories", "--out", str(out), "--n", "100",
+                 "--t-end", "5e-10", "--y0-list", "4.9e-5"]) == 3
+    message = "all 100 trajectories failed to propagate"
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["status"] == "incomplete"
+    assert doc["notes"] == [f"NumericalError: {message}"]
+    assert [f["path"] for f in doc["files"]] == ["trajectory_001.csv"]
 
 
 def test_cli_io_error(tmp_path, capsys):

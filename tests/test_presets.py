@@ -9,7 +9,8 @@ from bohm_radiance import presets as pre
 def test_jonsson_current_reference(paper):
     cur = pre.jonsson_current(paper)
     assert cur.electrons_per_second == pytest.approx(5.6e10, rel=5e-3, abs=0.0)
-    assert cur.label == "jonsson"
+    # 30 mA/cm^2 through two 0.3 um x 50 um slits
+    assert cur.amperes == pytest.approx(9.0e-9, rel=1e-12, abs=0.0)
     # amperes consistent with the rate through the electron charge
     assert cur.amperes == pytest.approx(
         cur.electrons_per_second * paper.electron_charge_c, rel=1e-6, abs=0.0)

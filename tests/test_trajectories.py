@@ -21,7 +21,6 @@ def single_packet(paper):
     return wf.SlitExperiment(
         slit_half_separation_cm=0.0,
         packet_width_cm=3.5e-6,
-        kinetic_energy_ev=45.0e3,
         forward_speed_cm_s=paper.speed_from_kinetic_energy(45.0e3),
         screen_distance_cm=35.0,
         cross_section_x_cm=18.0,
@@ -486,14 +485,6 @@ def test_ks_statistic_against_scipy(exp, paper):
     assert ours == pytest.approx(ref, abs=1e-12)
 
 
-def test_ensemble_identity_transport(exp, paper):
-    res = tr.run_ensemble(exp, paper, 100, seed=7, t_end=0.0)
-    assert res.ks_statistic < 0.15
-    assert res.n_failed == 0
-    np.testing.assert_array_equal(res.initial_positions_cm,
-                                  res.final_positions_cm)
-
-
 def test_ensemble_equivariance_small(exp, paper):
     res = tr.run_ensemble(exp, paper, 1000, seed=42,
                           t_end=exp.time_of_flight_s)
@@ -514,6 +505,8 @@ def test_ensemble_input_guards(exp, paper):
         tr.run_ensemble(exp, paper, 50, seed=1, t_end=1e-9)
     with pytest.raises(ConfigError):
         tr.run_ensemble(exp, paper, 100, seed=1, t_end=-1.0)
+    with pytest.raises(ConfigError, match="t_end"):
+        tr.run_ensemble(exp, paper, 100, seed=1, t_end=0.0)
     with pytest.raises(ConfigError, match="t_end"):
         tr.run_ensemble(exp, paper, 100, seed=1, t_end=math.inf)
     with pytest.raises(ConfigError, match="t_end"):

@@ -16,7 +16,6 @@ def single_packet(paper, **overrides):
     params = dict(
         slit_half_separation_cm=0.0,
         packet_width_cm=3.5e-6,
-        kinetic_energy_ev=45.0e3,
         forward_speed_cm_s=paper.speed_from_kinetic_energy(45.0e3),
         screen_distance_cm=35.0,
         cross_section_x_cm=18.0,
@@ -43,19 +42,22 @@ def test_relativistic_guard(paper):
             cross_section_x_cm=18.0)
 
 
-def test_speed_consistency_guard(paper):
-    v = paper.speed_from_kinetic_energy(45.0e3)
-    with pytest.raises(ConfigError, match="inconsistent"):
-        wf.make_experiment(
-            paper, slit_half_separation_cm=0.5e-4, packet_width_cm=3.5e-6,
-            kinetic_energy_ev=45.0e3, screen_distance_cm=35.0,
-            cross_section_x_cm=18.0, forward_speed_cm_s=1.01 * v)
-    # within one part in 1e6 passes
-    exp = wf.make_experiment(
-        paper, slit_half_separation_cm=0.5e-4, packet_width_cm=3.5e-6,
-        kinetic_energy_ev=45.0e3, screen_distance_cm=35.0,
-        cross_section_x_cm=18.0, forward_speed_cm_s=v * (1 + 1e-7))
-    assert exp.forward_speed_cm_s == pytest.approx(v, rel=1e-6, abs=0.0)
+def test_speed_consistency_guard(paper, modern):
+    # the forward speed is derived from the kinetic energy, never given
+    for consts in (paper, modern):
+        for energy in (1.0e3, 45.0e3):
+            exp = wf.make_experiment(
+                consts, **{**wf.JONSSON_DEFAULTS,
+                           "kinetic_energy_ev": energy})
+            assert exp.forward_speed_cm_s == \
+                consts.speed_from_kinetic_energy(energy)
+    with pytest.raises(TypeError, match="forward_speed_cm_s"):
+        wf.make_experiment(paper, **wf.JONSSON_DEFAULTS,
+                           forward_speed_cm_s=1.0e10)
+    for energy in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="kinetic_energy_ev"):
+            wf.make_experiment(paper, **{**wf.JONSSON_DEFAULTS,
+                                         "kinetic_energy_ev": energy})
 
 
 def test_geometry_guards(paper):
