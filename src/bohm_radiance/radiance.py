@@ -72,7 +72,8 @@ def emission_power(consts: PhysicalConstants, a_cm_s2: float) -> float:
     """P = (4/3)(alpha hbar / c^2) a^2, in W."""
     if not math.isfinite(a_cm_s2):
         raise NumericalError("acceleration must be finite")
-    return consts.larmor_prefactor * a_cm_s2 * a_cm_s2 * consts.ev_to_joule
+    return (consts.larmor_prefactor * a_cm_s2 * a_cm_s2
+            * consts.electron_charge_c)
 
 
 def emission_power_from_gradq(consts: PhysicalConstants,
@@ -293,14 +294,15 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
         raise NumericalError(
             "trajectory carries non-finite acceleration samples")
     p_ev_s = consts.larmor_prefactor * a * a
-    total = np.trapezoid(p_ev_s, traj.t_s) * consts.ev_to_joule
+    total = np.trapezoid(p_ev_s, traj.t_s) * consts.electron_charge_c
     xi = interference_wavenumber(exp, consts, traj.t_s)
     eta = np.abs(traj.y_cm) * xi / math.pi
     k = np.floor(eta / 2.0).astype(int) + 1
     # trapezoid weight of each sample: half of each adjacent interval
     dt = np.diff(traj.t_s)
     weight = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
-    band_j = np.bincount(k, weights=weight * p_ev_s) * consts.ev_to_joule
+    band_j = np.bincount(k, weights=weight * p_ev_s) \
+        * consts.electron_charge_c
     per_valley = {int(kk): float(band_j[kk])
                   for kk in np.flatnonzero(np.bincount(k))}
     return RadiatedEnergy(total_j=float(total), per_valley_j=per_valley)

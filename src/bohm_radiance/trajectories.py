@@ -40,6 +40,11 @@ from .units import PhysicalConstants
 from .wavefield import SlitExperiment, _psi_derivs, sigma_t
 
 DEFAULT_TOL = 1.0e-9
+# Right-hand-side calls after which integrate_trajectory gives up on a
+# path: 38x the most that a default-geometry path needs (5,276, at tol
+# 1e-12).  A launch between widely separated slits collapses onto the
+# axis, where the flow is stiff and RK45's steps shrink to ~1e-17 s.
+PATH_RHS_BUDGET = 200_000
 # Samples on the recording grid of a single path.
 DEFAULT_PATH_SAMPLES = 4096
 CDF_GRID_POINTS = 2 ** 16
@@ -88,6 +93,15 @@ MAX_FACTOR = 10.0
 RECORD_BLOCK = 2 ** 14
 
 
+def absolute_tolerance(exp: SlitExperiment, tol: float) -> float:
+    """The atol of both integrators for rtol = ``tol``: tol packet widths.
+
+    It does not depend on the launch, so a single path and its lane in
+    ``transport`` are held to the same error contract.
+    """
+    return tol * exp.packet_width_cm
+
+
 def solve_ivp(fun, t_span, y0, **options):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
@@ -125,15 +139,17 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                          ) -> Trajectory:
     """Integrate dy/dt = v(y, t) from (y0, 0) to t_end.
 
-    Local error per step is controlled at ``tol`` (relative) by the
-    embedded RK 4(5) pair.  The path is recorded on a uniform grid of
-    n_samples points from 0 to t_end.  Any finite nonzero y0 is accepted:
-    the velocity comes from psi'/psi, which stays finite where |psi| is
-    below the node floor, as in the tails and between the slits.  The
-    right-hand side evaluates the closed form on Python floats, whose bits
-    a test pins to the array form's, so the path and its steps are those
-    of an array right-hand side; the recorded v and a come from the array
-    form, block by block.
+    Local error per step is controlled at rtol = ``tol`` and the atol of
+    ``absolute_tolerance`` by the embedded RK 4(5) pair.  The path is
+    recorded on a uniform grid of n_samples >= 3 points from 0 to t_end.
+    Any finite nonzero y0 is accepted: the velocity comes from psi'/psi,
+    which stays finite where |psi| is below the node floor, as in the
+    tails and between the slits.  The right-hand side evaluates the closed
+    form on Python floats, whose bits a test pins to the array form's, so
+    the path and its steps are those of an array right-hand side; the
+    recorded v and a come from the array form, block by block.  A path
+    that needs more than ``PATH_RHS_BUDGET`` right-hand-side evaluations
+    raises NumericalError.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -142,15 +158,25 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                           "stationary solution)")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError("t_end must be positive and finite")
+    if n_samples < 3:
+        raise ConfigError("n_samples must be >= 3, so that ay_numeric is "
+                          "a derivative")
+    nfev = 0
 
     def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > PATH_RHS_BUDGET:
+            raise NumericalError(
+                f"trajectory from y0 = {y0!r} cm: {PATH_RHS_BUDGET} "
+                f"right-hand-side evaluations reached only t = {t:.6g} s "
+                f"of {t_end:.6g} s")
         args = wavefield._closed_form_args(exp, consts, float(y[0]), float(t))
         return [wavefield._velocity_of(exp, consts, args)]
 
     t_eval = np.linspace(0.0, t_end, n_samples)
-    atol = tol * max(abs(y0), exp.packet_width_cm)
-    sol = solve_ivp(rhs, (0.0, t_end), [y0], method="RK45",
-                    t_eval=t_eval, rtol=tol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, t_end), [y0], method="RK45", t_eval=t_eval,
+                    rtol=tol, atol=absolute_tolerance(exp, tol))
     if sol.status < 0:
         raise NumericalError(f"trajectory integration failed: {sol.message}")
 
@@ -162,7 +188,7 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
         block = slice(start, start + RECORD_BLOCK)
         v[block], a_field[block] = wavefield._velocity_acceleration(
             exp, consts, y[block], t[block])
-    a_numeric = np.gradient(v, t) if len(t) >= 3 else np.zeros_like(v)
+    a_numeric = np.gradient(v, t)
     return Trajectory(
         t_s=t,
         y_cm=y,
@@ -269,9 +295,9 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     Solving ODEs I, sec. II.4) gives every lane its own time, step and
     error norm, under the module's tableau (``A``, ``B``, ``C``, ``E``,
     ``P``; a test pins it to scipy's RK45) and scipy's step-size
-    controller, so rtol = ``tol`` and atol = ``tol`` * packet width mean
-    what they mean for one path.  A lane that reaches t_end leaves the
-    active set.  A lane whose step falls below 10 ulp of its time fails
+    controller, so rtol = ``tol`` and the atol of ``absolute_tolerance``
+    mean what they mean for one path.  A lane that reaches t_end leaves
+    the active set.  A lane whose step falls below 10 ulp of its time fails
     alone: its row is NaN.  The right-hand side is the real psi'/psi form of
     the guidance velocity, so lanes far in the tails propagate like a
     single packet.
@@ -292,7 +318,7 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     if not np.all(np.isfinite(y)):
         raise ConfigError("y0 must be finite")
     out = np.full((len(y), len(t_eval)), np.nan)
-    rtol, atol = tol, tol * exp.packet_width_cm
+    rtol, atol = tol, absolute_tolerance(exp, tol)
 
     def rhs(t, y):
         return wavefield._velocity_of(

@@ -29,14 +29,12 @@ class PhysicalConstants:
     c_cm_s: float                 # speed of light (cm/s)
     electron_rest_energy_ev: float  # mc^2 (eV)
     alpha: float                  # fine-structure constant
-    electron_charge_c: float      # elementary charge (C)
+    electron_charge_c: float      # elementary charge (C); 1 eV in J
     planck_h_j_s: float           # Planck constant (J s)
-    ev_to_joule: float            # 1 eV in J
 
     def __post_init__(self):
         for field in ("hbar_ev_s", "c_cm_s", "electron_rest_energy_ev",
-                      "alpha", "electron_charge_c", "planck_h_j_s",
-                      "ev_to_joule"):
+                      "alpha", "electron_charge_c", "planck_h_j_s"):
             if getattr(self, field) <= 0.0:
                 raise ConfigError(f"constant {field} must be positive")
 
@@ -74,7 +72,6 @@ _PAPER = PhysicalConstants(
     alpha=1.0 / 137.0,
     electron_charge_c=1.6022e-19,
     planck_h_j_s=6.63e-34,
-    ev_to_joule=1.6022e-19,
 )
 
 _MODERN = PhysicalConstants(
@@ -85,7 +82,6 @@ _MODERN = PhysicalConstants(
     alpha=7.2973525693e-3,
     electron_charge_c=1.602176634e-19,
     planck_h_j_s=6.62607015e-34,
-    ev_to_joule=1.602176634e-19,
 )
 
 _PRESETS = {"paper": _PAPER, "modern": _MODERN}

@@ -155,8 +155,8 @@ def test_spectrum_step_invariants(paper):
         # I0 = P tau^2 in consistent (eV) units; approx's default abs of
         # 1e-12 would pass any I0 near 1e-27, so it is turned off
         assert step.i0_ev_per_hz == pytest.approx(
-            step.power_w / paper.ev_to_joule * step.tau_s**2, rel=1e-12,
-            abs=0.0)
+            step.power_w / paper.electron_charge_c * step.tau_s**2,
+            rel=1e-12, abs=0.0)
         # nonnegativity, zero only under zero acceleration
         assert step.power_w > 0 and step.i0_ev_per_hz > 0
         assert step.photon_energy_j > 0
@@ -171,7 +171,7 @@ def test_heuristic_power_is_exact_up_to_prefactor(paper):
     # alpha hbar (dv/c)^2 / tau reproduces the leg energy up to 4/3
     for vi in PAPER_VALLEY_INPUTS:
         step = rad.spectrum_step(paper, vi)
-        leg_energy_ev = step.power_w / paper.ev_to_joule * step.tau_s
+        leg_energy_ev = step.power_w / paper.electron_charge_c * step.tau_s
         heuristic_ev = paper.alpha * paper.hbar_ev_s \
             * (step.delta_v_cm_s / paper.c_cm_s) ** 2 / step.tau_s
         ratio = leg_energy_ev / heuristic_ev
@@ -302,7 +302,7 @@ def test_radiated_energy_per_valley_matches_masked_trapezoids(exp, paper):
     out = rad.trajectory_radiated_energy(paper, traj, exp)
     xi = wf.interference_wavenumber(exp, paper, traj.t_s)
     band = np.floor(np.abs(traj.y_cm) * xi / math.pi / 2.0).astype(int) + 1
-    p_w = paper.larmor_prefactor * traj.ay_field**2 * paper.ev_to_joule
+    p_w = paper.larmor_prefactor * traj.ay_field**2 * paper.electron_charge_c
     expected = {int(k): trapezoid(np.where(band == k, p_w, 0.0), traj.t_s)
                 for k in np.unique(band)}
     assert len(expected) >= 10

@@ -244,7 +244,7 @@ def test_transport_lanes_match_single_path_rk45(exp, paper):
         ref = solve_ivp(lambda t, y: wf.velocity_field(exp, paper, y, t),
                         (0.0, t_end), [lane], method="RK45",
                         rtol=tr.DEFAULT_TOL,
-                        atol=tr.DEFAULT_TOL * exp.packet_width_cm)
+                        atol=tr.absolute_tolerance(exp, tr.DEFAULT_TOL))
         assert ref.status == 0
         assert abs(final - ref.y[0, -1]) < 1e-9 * fringe
 
@@ -351,11 +351,17 @@ def test_integration_input_guards(exp, paper):
             tr.integrate_trajectory(exp, paper, y0, 1e-9)
     with pytest.raises(ConfigError, match="t_end"):
         tr.integrate_trajectory(exp, paper, 5e-5, math.inf)
+    # fewer than 3 samples would leave ay_numeric without a derivative
+    for n_samples in (0, 1, 2):
+        with pytest.raises(ConfigError, match="n_samples"):
+            tr.integrate_trajectory(exp, paper, 5e-5, 1e-9,
+                                    n_samples=n_samples)
 
 
 def _assert_paths_reach_t_end(exp, paper, y0):
     # each path reaches t_end with a finite field acceleration, and its
-    # final agrees with a one-lane transport
+    # final agrees with its one-lane transport: both take the same RK45
+    # steps under one rtol and atol
     t_end = exp.time_of_flight_s
     fringe = wf.fringe_spacing(exp, paper, exp.screen_distance_cm)
     lanes = tr.transport(exp, paper, y0, t_end)[:, -1]
@@ -363,7 +369,7 @@ def _assert_paths_reach_t_end(exp, paper, y0):
         traj = tr.integrate_trajectory(exp, paper, y, t_end, n_samples=512)
         assert traj.t_s[-1] == t_end
         assert np.all(np.isfinite(traj.ay_field))
-        assert abs(traj.y_cm[-1] - lane) < 1e-6 * fringe
+        assert abs(traj.y_cm[-1] - lane) < 1e-9 * fringe
 
 
 def test_launches_below_the_initial_node_floor(exp, paper, tmp_path,
@@ -386,6 +392,33 @@ def test_launches_just_above_the_floor_reach_t_end(exp, paper):
     # stays finite
     _assert_paths_reach_t_end(exp, paper,
                               [1.366e-5, 1.37e-5, 1.3765e-5, -1.37e-5])
+
+
+def test_single_paths_match_their_one_lane_transport(exp, paper):
+    # the acceptance launch, two sharp wall crossings, two tail launches
+    # and |psi|^2 draws: one error contract for paths and lanes
+    _assert_paths_reach_t_end(exp, paper, [
+        4.9e-5, *WALL_CROSSING_LAUNCHES_CM, 3e-4, 1e-3,
+        *tr.sample_initial_positions(exp, paper, 20, seed=8)])
+
+
+def test_cli_path_over_its_evaluation_budget(tmp_path, capsys, monkeypatch):
+    # between widely separated slits the default launch collapses onto the
+    # axis, where the flow is stiff: the path stops at its budget of
+    # right-hand-side evaluations and the run exits 3, naming the launch
+    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(
+        {"experiment": {"slit_half_separation_cm": 1e-2}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate-trajectories", "--config", str(config),
+                 "--out", str(out), "--y0-list", "4.9e-5"]) == 3
+    err = capsys.readouterr().err
+    assert "trajectory from y0 = 4.9e-05 cm: 10000 right-hand-side " \
+        "evaluations" in err
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["status"] == "incomplete"
+    assert doc["files"] == []
 
 
 def test_launch_just_above_the_floor_between_the_slits(tmp_path):
@@ -429,7 +462,7 @@ def test_paths_match_the_array_rhs_bitwise(exp, paper, monkeypatch, y0):
     ref = solve_ivp(lambda t, y: wf.velocity_field(exp, paper, y, t),
                     (0.0, t_end), [y0], method="RK45", t_eval=traj.t_s,
                     rtol=tr.DEFAULT_TOL,
-                    atol=tr.DEFAULT_TOL * max(abs(y0), exp.packet_width_cm))
+                    atol=tr.absolute_tolerance(exp, tr.DEFAULT_TOL))
     assert np.array_equal(traj.y_cm, ref.y[0])
     (sol,) = solutions
     assert sol.nfev == ref.nfev

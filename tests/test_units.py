@@ -13,7 +13,6 @@ def test_paper_preset_exact_values(paper):
     assert paper.alpha == 1.0 / 137.0
     assert paper.electron_charge_c == 1.6022e-19
     assert paper.planck_h_j_s == 6.63e-34
-    assert paper.ev_to_joule == 1.6022e-19
 
 
 def test_modern_preset_values(modern):
