@@ -1,4 +1,4 @@
-"""Experimental presets: beam currents, current scaling, detectability.
+"""Experimental presets: beam rates, current scaling, detectability.
 
 Two realized experiments anchor the current scale:
 
@@ -72,39 +72,19 @@ ROW4_SCALING_NOTE = (
     "is reported")
 
 
-@dataclass(frozen=True)
-class BeamCurrent:
-    """A beam current, as an electron rate and in amperes."""
-
-    electrons_per_second: float
-    amperes: float
-
-    def __post_init__(self):
-        if self.electrons_per_second < 0.0 or self.amperes < 0.0:
-            raise ConfigError("beam current must be non-negative")
-
-
-def tonomura_current(consts: PhysicalConstants) -> BeamCurrent:
-    """The 1e3 e-/s single-electron-regime reference current."""
-    return BeamCurrent(
-        electrons_per_second=TONOMURA_RATE_E_PER_S,
-        amperes=TONOMURA_RATE_E_PER_S * consts.electron_charge_c,
-    )
-
-
-def jonsson_current(consts: PhysicalConstants) -> BeamCurrent:
-    """Total electron rate j * S through the two Jonsson apertures."""
+def jonsson_rate(consts: PhysicalConstants) -> float:
+    """Electron rate j * S / e through the two Jonsson apertures, in e-/s."""
     area_cm2 = 2 * JONSSON_SLIT_WIDTH_CM * JONSSON_SLIT_HEIGHT_CM
-    amperes = JONSSON_CURRENT_DENSITY_MA_CM2 * 1.0e-3 * area_cm2
-    rate = amperes / consts.electron_charge_c
-    return BeamCurrent(electrons_per_second=rate, amperes=amperes)
+    return JONSSON_CURRENT_DENSITY_MA_CM2 * 1.0e-3 * area_cm2 \
+        / consts.electron_charge_c
 
 
-def current_scaled_power(p_single_w: float, current: BeamCurrent) -> float:
-    """Scale a power quoted at the reference rate linearly in the current."""
-    if p_single_w < 0.0:
-        raise ConfigError("power must be non-negative")
-    return p_single_w * current.electrons_per_second / TONOMURA_RATE_E_PER_S
+def current_scaled_power(p_single_w: float,
+                         electrons_per_second: float) -> float:
+    """Scale a power quoted at the reference rate linearly in the rate."""
+    if p_single_w < 0.0 or electrons_per_second < 0.0:
+        raise ConfigError("power and electron rate must be non-negative")
+    return p_single_w * electrons_per_second / TONOMURA_RATE_E_PER_S
 
 
 def cmbr_flux() -> float:

@@ -34,8 +34,7 @@ from .presets import (
     ROW4_SCALING_NOTE,
     beam_flux,
     current_scaled_power,
-    jonsson_current,
-    tonomura_current,
+    jonsson_rate,
 )
 from .radiance import (
     LAMBDA_CONVENTION_NOTE,
@@ -218,14 +217,14 @@ def _cmd_spectrum(cfg: RunConfig, em: _Emitter) -> None:
 
 
 def _cmd_table1(cfg: RunConfig, em: _Emitter) -> None:
-    j_current = jonsson_current(cfg.consts)
+    j_rate = jonsson_rate(cfg.consts)
     rows = [{
         "valley": step.valley,
         "omega_c_hz": step.omega_c_hz,
         "lambda_c_cm": step.lambda_c_cm,
         "i0_ev_per_hz": step.i0_ev_per_hz,
         "p_tonomura_w": step.power_w,
-        "p_jonsson_w": current_scaled_power(step.power_w, j_current),
+        "p_jonsson_w": current_scaled_power(step.power_w, j_rate),
         "flag": (ROW4_SCALING_NOTE
                  if cfg.mode == "reproduction" and step.valley == 4 else ""),
     } for step in _steps(cfg)]
@@ -239,8 +238,7 @@ def _cmd_table1(cfg: RunConfig, em: _Emitter) -> None:
 
 def _cmd_detectability(cfg: RunConfig, em: _Emitter) -> None:
     step = _steps(cfg)[0]
-    p_scaled = current_scaled_power(step.power_w,
-                                    jonsson_current(cfg.consts))
+    p_scaled = current_scaled_power(step.power_w, jonsson_rate(cfg.consts))
     em.write_json("detectability.json", _doc(cfg, "detectability", {
         "scaled_power_w": p_scaled,
         **asdict(beam_flux(p_scaled)),
@@ -250,17 +248,15 @@ def _cmd_detectability(cfg: RunConfig, em: _Emitter) -> None:
 
 
 def _cmd_compare(cfg: RunConfig, em: _Emitter) -> None:
-    consts = cfg.consts
-    j_current = jonsson_current(consts)
-    t_current = tonomura_current(consts)
+    j_rate = jonsson_rate(cfg.consts)
     rows = [{
         "valley": step.valley,
         "copenhagen_power_w": copenhagen_emission_power(),
-        "bdb_power_tonomura_w": current_scaled_power(step.power_w, t_current),
-        "bdb_power_jonsson_w": current_scaled_power(step.power_w, j_current),
+        "bdb_power_tonomura_w": step.power_w,
+        "bdb_power_jonsson_w": current_scaled_power(step.power_w, j_rate),
     } for step in _steps(cfg)]
     mean_power = ensemble_mean_power(
-        cfg.experiment, consts,
+        cfg.experiment, cfg.consts,
         cfg.experiment.section_time_s(cfg.experiment.cross_section_x_cm))
     em.write_json("compare.json", _doc(cfg, "compare", {
         "mode": cfg.mode,

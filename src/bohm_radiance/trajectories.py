@@ -22,9 +22,11 @@ Ensembles are sampled from |psi(y, 0)|^2 by inverse-CDF lookup on a dense
 grid (deterministic for a fixed seed) and transported by a vectorized
 Dormand-Prince 5(4) stepper in which every lane (trajectory) keeps its own
 time, step size and error norm, so a lane crossing a valley wall does not
-shrink the steps of the others.  A lane whose step collapses fails alone
-and comes back NaN.  Equivariance is quantified by the Kolmogorov-Smirnov
-distance between the final empirical distribution and |psi(y, t_end)|^2.
+shrink the steps of the others.  A lane whose step collapses, or that
+needs more right-hand-side evaluations than a single path may, fails
+alone and comes back NaN.  Equivariance is quantified by the
+Kolmogorov-Smirnov distance between the final empirical distribution and
+|psi(y, t_end)|^2.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .units import PhysicalConstants
 from .wavefield import SlitExperiment, _psi_derivs, sigma_t
 
 DEFAULT_TOL = 1.0e-9
-# Right-hand-side calls after which integrate_trajectory gives up on a
-# path: 38x the most that a default-geometry path needs (5,276, at tol
+# Right-hand-side calls after which a single path or an ensemble lane
+# fails: 38x the most that a default-geometry path needs (5,276, at tol
 # 1e-12).  A launch between widely separated slits collapses onto the
 # axis, where the flow is stiff and RK45's steps shrink to ~1e-17 s.
 PATH_RHS_BUDGET = 200_000
@@ -149,7 +151,9 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     the path and its steps are those of an array right-hand side; the
     recorded v and a come from the array form, block by block.  A path
     that needs more than ``PATH_RHS_BUDGET`` right-hand-side evaluations
-    raises NumericalError.
+    raises NumericalError.  SciPy's error norm may overflow on the way,
+    as between slits set very far apart; the budget reports such a path,
+    so the overflow warning is silenced.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -175,8 +179,10 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
         return [wavefield._velocity_of(exp, consts, args)]
 
     t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), [y0], method="RK45", t_eval=t_eval,
-                    rtol=tol, atol=absolute_tolerance(exp, tol))
+    with np.errstate(over="ignore"):
+        sol = solve_ivp(rhs, (0.0, t_end), [y0], method="RK45",
+                        t_eval=t_eval, rtol=tol,
+                        atol=absolute_tolerance(exp, tol))
     if sol.status < 0:
         raise NumericalError(f"trajectory integration failed: {sol.message}")
 
@@ -297,7 +303,9 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     ``P``; a test pins it to scipy's RK45) and scipy's step-size
     controller, so rtol = ``tol`` and the atol of ``absolute_tolerance``
     mean what they mean for one path.  A lane that reaches t_end leaves
-    the active set.  A lane whose step falls below 10 ulp of its time fails
+    the active set.  A lane whose step falls below 10 ulp of its time, or
+    whose right-hand-side evaluations pass ``PATH_RHS_BUDGET`` (counted as
+    scipy counts them: 2 to start, ``len(C)`` per attempted step), fails
     alone: its row is NaN.  The right-hand side is the real psi'/psi form of
     the guidance velocity, so lanes far in the tails propagate like a
     single packet.
@@ -331,12 +339,16 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
     rejected = np.zeros(len(y), dtype=bool)
     filled = np.zeros(len(y), dtype=int)  # next t_eval index per lane
+    # every lane still running attempts one step per pass, so the lanes
+    # share one count: f and the initial step's probe, then len(C) a step
+    nfev = 2
     while True:
         # a new step starts at no less than 10 ulp of t; a lane whose
-        # rejected step shrank below that (or is NaN) fails
+        # rejected step shrank below that (or is NaN), or whose last step
+        # passed the budget, fails
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        alive = h_abs >= min_step
+        alive = (h_abs >= min_step) & (nfev <= PATH_RHS_BUDGET)
         out[lane[~alive]] = np.nan
         running = alive & (t < t_end)
         lane, t, y, f, h_abs, rejected, filled = (
@@ -351,6 +363,7 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
             k.append(rhs(t + C[s] * h, y + _lane_sum(A[s, :s], k) * h))
         y_new = y + h * _lane_sum(B, k)
         k.append(rhs(t_new, y_new))
+        nfev += len(C)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = np.abs(_lane_sum(E, k) * h / scale)
         accept = err < 1.0
@@ -394,9 +407,10 @@ def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,
 
     Lanes are stepped independently by ``transport``; results are indexed
     in draw order, so a fixed seed reproduces final positions bitwise.  A
-    lane that fails to propagate comes back NaN and is counted in
-    ``n_failed``; the KS distance is taken over the finite finals, and an
-    ensemble with none raises NumericalError.
+    lane that fails to propagate (its step collapses, or it passes
+    ``PATH_RHS_BUDGET``) comes back NaN and is counted in ``n_failed``;
+    the KS distance is taken over the finite finals, and an ensemble with
+    none raises NumericalError.
     """
     if n < 100:
         raise ConfigError("ensemble size must be >= 100")

@@ -24,7 +24,6 @@ from .errors import ConfigError
 class PhysicalConstants:
     """Immutable constant set. Values are positive by construction."""
 
-    name: str
     hbar_ev_s: float              # reduced Planck constant (eV s)
     c_cm_s: float                 # speed of light (cm/s)
     electron_rest_energy_ev: float  # mc^2 (eV)
@@ -65,7 +64,6 @@ class PhysicalConstants:
 
 
 _PAPER = PhysicalConstants(
-    name="paper",
     hbar_ev_s=0.65e-15,
     c_cm_s=3.0e10,
     electron_rest_energy_ev=0.511e6,
@@ -75,7 +73,6 @@ _PAPER = PhysicalConstants(
 )
 
 _MODERN = PhysicalConstants(
-    name="modern",
     hbar_ev_s=6.582119569e-16,
     c_cm_s=2.99792458e10,
     electron_rest_energy_ev=0.51099895000e6,

@@ -20,7 +20,7 @@ from bohm_radiance.presets import (
     VALLEY_ENTRY_SPEED_CM_S,
     cmbr_flux,
     current_scaled_power,
-    jonsson_current,
+    jonsson_rate,
 )
 from bohm_radiance.runner import run
 
@@ -41,7 +41,7 @@ TABLE1_PRINTED = {
 
 
 def test_table1_reproduction(paper):
-    j_current = jonsson_current(paper)
+    j_rate = jonsson_rate(paper)
     for vi in PAPER_VALLEY_INPUTS:
         step = rad.spectrum_step(paper, vi)
         omega, lam, i0, p_t, p_j = TABLE1_PRINTED[vi.index]
@@ -49,7 +49,7 @@ def test_table1_reproduction(paper):
         assert step.lambda_c_cm == pytest.approx(lam, rel=0.03, abs=0.0)
         assert step.i0_ev_per_hz == pytest.approx(i0, rel=0.03, abs=0.0)
         assert step.power_w == pytest.approx(p_t, rel=0.03, abs=0.0)
-        scaled = current_scaled_power(step.power_w, j_current)
+        scaled = current_scaled_power(step.power_w, j_rate)
         if vi.index < 4:
             assert scaled == pytest.approx(p_j, rel=0.03, abs=0.0)
         else:

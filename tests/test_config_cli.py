@@ -359,6 +359,36 @@ def test_table1_row4_flagged(tmp_path, quick_overrides):
     assert "1.25e-20" in flags[4]
 
 
+def _assert_one_printed_power(out, subs=("compare", "detectability")):
+    """The powers that the ``subs`` print in ``out`` (one directory per
+    subcommand) are those that table1 prints there, to the bit."""
+    def doc(sub):
+        return json.loads((out / sub / f"{sub}.json").read_text())
+
+    table1 = doc("table1")["rows"]
+    if "compare" in subs:
+        compare = doc("compare")["rows"]
+        assert [r["bdb_power_tonomura_w"] for r in compare] == \
+            [r["p_tonomura_w"] for r in table1]
+        assert [r["bdb_power_jonsson_w"] for r in compare] == \
+            [r["p_jonsson_w"] for r in table1]
+    if "detectability" in subs:
+        assert doc("detectability")["scaled_power_w"] == \
+            table1[0]["p_jonsson_w"]
+
+
+def test_one_printed_power_per_valley(tmp_path):
+    # at 10.875 eV/cm, p * 1e3 / 1e3 is not p: the Tonomura power that
+    # compare prints must be the one that table1 prints, to the bit
+    valleys = [{"index": 1, "grad_q_ev_per_cm": 10.875, "tau_s": 2.8e-11,
+                "v0_cm_per_s": 15000.0}]
+    for sub in ("table1", "compare", "detectability"):
+        run_subcommand(tmp_path, sub, extra={"valleys": valleys})
+    table1 = json.loads((tmp_path / "table1" / "table1.json").read_text())
+    assert table1["rows"][0]["p_tonomura_w"] == 4.1314974963923786e-25
+    _assert_one_printed_power(tmp_path)
+
+
 @pytest.mark.parametrize("sub", ALL_SUBCOMMANDS)
 def test_deterministic_reruns(tmp_path, sub, quick_overrides):
     import hashlib
@@ -536,11 +566,13 @@ def _reject_non_finite(name):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(payload=valley_configs())
 def test_valley_inputs_keep_the_exit_code_contract(payload):
-    # any schema-valid valleys give exit 0 or 3 with a manifest, and no
-    # JSON output holds NaN or Infinity
+    # any schema-valid valleys give exit 0 or 3 with a manifest, no JSON
+    # output holds NaN or Infinity, and the subcommands that exit 0 print
+    # each power from one source
     with tempfile.TemporaryDirectory() as tmp:
         cfgfile = Path(tmp) / "cfg.json"
         cfgfile.write_text(json.dumps(payload), encoding="utf-8")
+        codes = {}
         for sub in ("spectrum", "table1", "detectability", "compare"):
             out = Path(tmp) / sub
             code = main([sub, "--config", str(cfgfile), "--out", str(out)])
@@ -550,6 +582,11 @@ def test_valley_inputs_keep_the_exit_code_contract(payload):
                                           else "incomplete")
             for doc in out.glob("*.json"):
                 json.loads(doc.read_text(), parse_constant=_reject_non_finite)
+            codes[sub] = code
+        if codes["table1"] == 0:
+            _assert_one_printed_power(Path(tmp), [
+                sub for sub in ("compare", "detectability")
+                if codes[sub] == 0])
 
 
 @pytest.mark.parametrize("sub", ["quantum-potential", "valley-report",

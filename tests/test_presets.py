@@ -1,46 +1,56 @@
+import json
 from dataclasses import asdict
 
 import pytest
 
+from bohm_radiance.config import load_config
 from bohm_radiance.errors import ConfigError
 from bohm_radiance import presets as pre
+from bohm_radiance.radiance import spectrum_step
+from bohm_radiance.runner import run
 
 
 def test_jonsson_current_reference(paper):
-    cur = pre.jonsson_current(paper)
-    assert cur.electrons_per_second == pytest.approx(5.6e10, rel=5e-3, abs=0.0)
+    rate = pre.jonsson_rate(paper)
+    assert rate == pytest.approx(5.6e10, rel=5e-3, abs=0.0)
     # 30 mA/cm^2 through two 0.3 um x 50 um slits
-    assert cur.amperes == pytest.approx(9.0e-9, rel=1e-12, abs=0.0)
-    # amperes consistent with the rate through the electron charge
-    assert cur.amperes == pytest.approx(
-        cur.electrons_per_second * paper.electron_charge_c, rel=1e-6, abs=0.0)
+    assert rate * paper.electron_charge_c == pytest.approx(9.0e-9, rel=1e-12,
+                                                           abs=0.0)
 
 
 def test_tonomura_reference_current(paper):
-    cur = pre.tonomura_current(paper)
-    assert cur.electrons_per_second == 1.0e3
-    assert cur.amperes == pytest.approx(1.6e-16, rel=2e-3, abs=0.0)
-    assert cur.amperes == pytest.approx(
-        cur.electrons_per_second * paper.electron_charge_c, rel=1e-6, abs=0.0)
+    assert pre.TONOMURA_RATE_E_PER_S == 1.0e3
+    assert pre.TONOMURA_RATE_E_PER_S * paper.electron_charge_c == \
+        pytest.approx(1.6e-16, rel=2e-3, abs=0.0)
 
 
 def test_current_scaled_power_reference(paper):
-    jc = pre.jonsson_current(paper)
-    assert pre.current_scaled_power(3.27e-26, jc) == pytest.approx(
+    rate = pre.jonsson_rate(paper)
+    assert pre.current_scaled_power(3.27e-26, rate) == pytest.approx(
         1.83e-18, rel=0.01, abs=0.0)
-    assert pre.current_scaled_power(3.25e-25, jc) == pytest.approx(
+    assert pre.current_scaled_power(3.25e-25, rate) == pytest.approx(
         1.82e-17, rel=0.01, abs=0.0)
 
 
-def test_current_scaling_is_linear_and_anchored(paper):
-    jc = pre.jonsson_current(paper)
-    tc = pre.tonomura_current(paper)
+def test_current_scaling_is_linear_and_anchored(paper, tmp_path):
+    rate = pre.jonsson_rate(paper)
     p = 3.27e-26
-    assert pre.current_scaled_power(p, tc) == p
-    assert pre.current_scaled_power(5.0 * p, jc) == pytest.approx(
-        5.0 * pre.current_scaled_power(p, jc), rel=1e-12, abs=0.0)
+    assert pre.current_scaled_power(5.0 * p, rate) == pytest.approx(
+        5.0 * pre.current_scaled_power(p, rate), rel=1e-12, abs=0.0)
     with pytest.raises(ConfigError):
-        pre.current_scaled_power(-1.0, jc)
+        pre.current_scaled_power(-1.0, rate)
+    with pytest.raises(ConfigError):
+        pre.current_scaled_power(p, -rate)
+    # the printed Tonomura column is the per-trajectory power itself, and
+    # the Jonsson column its scaling
+    cfg = load_config(None, {"output_dir": str(tmp_path)})
+    run("table1", cfg)
+    rows = json.loads((tmp_path / "table1.json").read_text())["rows"]
+    powers = [spectrum_step(paper, vi).power_w
+              for vi in pre.PAPER_VALLEY_INPUTS]
+    assert [r["p_tonomura_w"] for r in rows] == powers
+    assert [r["p_jonsson_w"] for r in rows] == \
+        [pre.current_scaled_power(power, rate) for power in powers]
 
 
 def test_cmbr_flux_reference():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -419,6 +420,53 @@ def test_cli_path_over_its_evaluation_budget(tmp_path, capsys, monkeypatch):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["status"] == "incomplete"
     assert doc["files"] == []
+
+
+def test_cli_path_with_an_overflowing_error_norm(tmp_path, capsys,
+                                                monkeypatch):
+    # between slits 1e200 cm apart scipy's error norm overflows before the
+    # budget is reached; with warnings as errors the run still exits 3 at
+    # the budget, naming the launch, and prints no traceback
+    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
+    config = tmp_path / "wider.json"
+    config.write_text(json.dumps(
+        {"experiment": {"slit_half_separation_cm": 1e200}}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate-trajectories", "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--y0-list", "4.9e-5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "trajectory from y0 = 4.9e-05 cm: 10000 right-hand-side " \
+        "evaluations" in err
+
+
+def test_transport_lane_over_its_evaluation_budget(exp, paper, monkeypatch):
+    # a lane between widely separated slits stalls on the axis: it fails
+    # alone at the single-path budget, and the outer lane keeps its final
+    wide = dataclasses.replace(exp, slit_half_separation_cm=1e-2)
+    t_end = wide.time_of_flight_s / 1000
+    outer = tr.transport(wide, paper, [1.5e-2], t_end)[0, -1]
+    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
+    finals = tr.transport(wide, paper, [4.9e-5, 1.5e-2], t_end)[:, -1]
+    assert np.isnan(finals[0])
+    assert finals[1] == outer
+
+
+def test_ensemble_counts_lanes_over_the_budget(exp, paper, monkeypatch):
+    # at a budget below the median lane's count (about 1,124 evaluations)
+    # some lanes fail and are counted; the others keep their finals
+    t_end = exp.time_of_flight_s
+    full = tr.run_ensemble(exp, paper, 100, 5, t_end)
+    assert full.n_failed == 0
+    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 1_124)
+    cut = tr.run_ensemble(exp, paper, 100, 5, t_end)
+    failed = np.isnan(cut.final_positions_cm)
+    assert 0 < cut.n_failed == failed.sum() < 100
+    assert not cut.valid
+    np.testing.assert_array_equal(cut.final_positions_cm[~failed],
+                                  full.final_positions_cm[~failed])
 
 
 def test_launch_just_above_the_floor_between_the_slits(tmp_path):
