@@ -3,7 +3,7 @@
     python scripts/output_drift.py OLD_SRC NEW_SRC
 
 Writes the data files of every subcommand in both modes, for the default
-config and for a few cross sections, once per tree, each in a fresh
+config and for 43 cross sections, once per tree, each in a fresh
 interpreter that imports the package from that tree's ``src/`` directory,
 and compares them file by file (the manifest, which carries a timestamp,
 is left out).  For each file that differs it prints the largest change of
@@ -25,9 +25,12 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
 
-# None keeps the configured section; the rest span the screen-side range
-# and include 2.0 cm, where the default scan has singular rows
-SECTIONS_CM = (None, 2.0, 2.7, 11.3, 34.9)
+# None keeps the configured section; the rest span 2.0 to 35.0 cm, the
+# range of the benchmark's sections, 40 of them evenly: a last-bit change
+# to a number shows only where its rounding differs, so one section is a
+# small sample.  2.0 cm has singular rows in the default scan.
+SECTIONS_CM = (None, 2.7, 11.3, 34.9) + tuple(2.0 + 33.0 * k / 39
+                                              for k in range(40))
 MODES = ("reproduction", "simulation")
 
 # runs write_outputs with the package of argv[1] and prints the runs as
@@ -41,7 +44,8 @@ CHILD = ("import json, sys; from pathlib import Path; "
 def write_outputs(root: Path) -> list[tuple[str, str | None]]:
     """Run every subcommand in both modes at each of SECTIONS_CM, into
     root/<section>/<mode>/<subcommand>/, with the package that is first
-    on ``sys.path``.
+    on ``sys.path``.  simulate-trajectories reads neither the section nor
+    the mode, so it runs once, at the default config in the first mode.
 
     Returns (section/mode/subcommand, error type name or None) per run,
     in run order.
@@ -55,6 +59,9 @@ def write_outputs(root: Path) -> list[tuple[str, str | None]]:
         section = "default" if x_cm is None else f"x{x_cm}cm"
         for mode in MODES:
             for sub in SUBCOMMANDS:
+                if sub == "simulate-trajectories" \
+                        and (x_cm, mode) != (None, MODES[0]):
+                    continue
                 prefix = f"{section}/{mode}/{sub}"
                 over = {"mode": mode, "output_dir": str(root / prefix)}
                 if x_cm is not None:

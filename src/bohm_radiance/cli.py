@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import config_schema, load_config
 from .errors import ConfigError, NumericalError
 from .runner import SUBCOMMANDS, run
 
@@ -35,8 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "per-trajectory pilot-wave emission."))
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--constants", choices=["paper", "modern"])
-    parser.add_argument("--mode", choices=["reproduction", "simulation"])
+    schema = config_schema()["properties"]
+    parser.add_argument("--constants", choices=schema["constants"]["enum"])
+    parser.add_argument("--mode", choices=schema["mode"]["enum"])
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--n", type=int, help="ensemble size")
     parser.add_argument("--seed", type=int, help="ensemble seed")

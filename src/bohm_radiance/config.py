@@ -12,7 +12,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -30,18 +30,10 @@ OUTPUT_SCHEMA_ID = "bohm-radiance/output/v1"
 DEFAULT_CONFIG: dict = {
     "constants": "paper",
     "mode": "reproduction",
-    "experiment": {
-        "slit_half_separation_cm": JONSSON_DEFAULTS["slit_half_separation_cm"],
-        "packet_width_cm": JONSSON_DEFAULTS["packet_width_cm"],
-        "kinetic_energy_eV": JONSSON_DEFAULTS["kinetic_energy_ev"],
-        "screen_distance_cm": JONSSON_DEFAULTS["screen_distance_cm"],
-        "cross_section_x_cm": JONSSON_DEFAULTS["cross_section_x_cm"],
-    },
-    "valleys": [
-        {"index": v.index, "grad_q_ev_per_cm": v.grad_q_ev_per_cm,
-         "tau_s": v.tau_s, "v0_cm_per_s": v.v0_cm_s}
-        for v in PAPER_VALLEY_INPUTS
-    ],
+    # a config section holds its constructor's keywords
+    "experiment": dict(JONSSON_DEFAULTS),
+    "valleys": [{key: value for key, value in asdict(v).items()
+                 if value is not None} for v in PAPER_VALLEY_INPUTS],
     "ensemble": {"n": 1000, "seed": 20210905, "t_end_s": None},
     "scan": {"y_half_range_cm": 8.0e-4, "n_samples": 16385},
     "trajectories": {"y0_list_cm": [4.9e-5, 5.1e-5],
@@ -130,13 +122,7 @@ def _non_finite(node, path: str = "$"):
 
 def _build_valley(raw: dict, position: int) -> ValleyInput:
     try:
-        return ValleyInput(
-            grad_q_ev_per_cm=raw["grad_q_ev_per_cm"],
-            v0_cm_s=raw.get("v0_cm_per_s", 0.0),
-            dy_cm=raw.get("dy_cm"),
-            tau_s=raw.get("tau_s"),
-            index=raw.get("index", position),
-        )
+        return ValleyInput(**{"index": position, **raw})
     except ConfigError as exc:
         raise ConfigError(f"valleys[{position - 1}]: {exc}") from None
 
@@ -184,16 +170,8 @@ def load_config(path: str | Path | None = None,
             f"config violates schema at {first.json_path}: {first.message}")
 
     consts = constants(merged["constants"])
-    exp_raw = merged["experiment"]
     try:
-        experiment = make_experiment(
-            consts,
-            slit_half_separation_cm=exp_raw["slit_half_separation_cm"],
-            packet_width_cm=exp_raw["packet_width_cm"],
-            kinetic_energy_ev=exp_raw["kinetic_energy_eV"],
-            screen_distance_cm=exp_raw["screen_distance_cm"],
-            cross_section_x_cm=exp_raw["cross_section_x_cm"],
-        )
+        experiment = make_experiment(consts, **merged["experiment"])
     except ConfigError as exc:
         raise ConfigError(f"experiment: {exc}") from None
 

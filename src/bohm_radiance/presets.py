@@ -53,14 +53,14 @@ BEAM_FLUX_DISCREPANCY_NOTE = (
 # times (s) as quoted for the section at 18 cm, entry speed 1.5e4 cm/s.
 VALLEY_ENTRY_SPEED_CM_S = 1.5e4
 PAPER_VALLEY_INPUTS: tuple[ValleyInput, ...] = (
-    ValleyInput(grad_q_ev_per_cm=9.66, v0_cm_s=VALLEY_ENTRY_SPEED_CM_S,
-                tau_s=2.8e-11, index=1),
-    ValleyInput(grad_q_ev_per_cm=3.06, v0_cm_s=VALLEY_ENTRY_SPEED_CM_S,
-                tau_s=7.01e-11, index=2),
-    ValleyInput(grad_q_ev_per_cm=0.93, v0_cm_s=VALLEY_ENTRY_SPEED_CM_S,
-                tau_s=1.02e-10, index=3),
-    ValleyInput(grad_q_ev_per_cm=0.8, v0_cm_s=VALLEY_ENTRY_SPEED_CM_S,
-                tau_s=1.09e-10, index=4),
+    ValleyInput(grad_q_ev_per_cm=9.66, tau_s=2.8e-11,
+                v0_cm_per_s=VALLEY_ENTRY_SPEED_CM_S, index=1),
+    ValleyInput(grad_q_ev_per_cm=3.06, tau_s=7.01e-11,
+                v0_cm_per_s=VALLEY_ENTRY_SPEED_CM_S, index=2),
+    ValleyInput(grad_q_ev_per_cm=0.93, tau_s=1.02e-10,
+                v0_cm_per_s=VALLEY_ENTRY_SPEED_CM_S, index=3),
+    ValleyInput(grad_q_ev_per_cm=0.8, tau_s=1.09e-10,
+                v0_cm_per_s=VALLEY_ENTRY_SPEED_CM_S, index=4),
 )
 
 # Published current-scaled power for valley 4 prints a value ten times

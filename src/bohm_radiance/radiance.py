@@ -134,7 +134,7 @@ class ValleyInput:
     traversal time (exactly one of the two)."""
 
     grad_q_ev_per_cm: float
-    v0_cm_s: float = 0.0
+    v0_cm_per_s: float = 0.0
     dy_cm: float | None = None
     tau_s: float | None = None
     index: int = 0
@@ -145,8 +145,8 @@ class ValleyInput:
                 "exactly one of dy_cm and tau_s must be supplied")
         if self.grad_q_ev_per_cm < 0.0:
             raise ConfigError("grad_q_ev_per_cm must be non-negative")
-        if self.v0_cm_s < 0.0:
-            raise ConfigError("v0_cm_s must be non-negative")
+        if self.v0_cm_per_s < 0.0:
+            raise ConfigError("v0_cm_per_s must be non-negative")
         if self.dy_cm is not None and self.dy_cm <= 0.0:
             raise ConfigError("dy_cm must be positive")
         if self.tau_s is not None and self.tau_s <= 0.0:
@@ -187,7 +187,7 @@ def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     if vi.tau_s is not None:
         tau = vi.tau_s
     else:
-        tau = collision_time(vi.v0_cm_s, a, vi.dy_cm)
+        tau = collision_time(vi.v0_cm_per_s, a, vi.dy_cm)
         if tau == 0.0:
             raise NumericalError(
                 f"valley {vi.index}: tau_s is 0.0; the inputs overflow or "
@@ -379,7 +379,7 @@ def simulation_valley_inputs(exp: SlitExperiment, consts: PhysicalConstants,
         v0 = abs(velocity_field(exp, consts, inner_flank, t))
         out.append(ValleyInput(
             grad_q_ev_per_cm=v.grad_estimate_ev_per_cm,
-            v0_cm_s=v0,
+            v0_cm_per_s=v0,
             dy_cm=v.half_width_cm,
             index=v.index,
         ))

@@ -310,7 +310,9 @@ def run(subcommand: str, cfg: RunConfig) -> RunManifest:
         files=em.records,
     )
     try:
-        _HANDLERS[subcommand](cfg, em)
+        # a floating-point fault anywhere in the run raises, for exit 3
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _HANDLERS[subcommand](cfg, em)
     except BaseException as exc:
         manifest.status = "incomplete"
         manifest.notes.append(f"{type(exc).__name__}: {exc}")

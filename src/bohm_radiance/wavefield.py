@@ -139,7 +139,7 @@ class SlitExperiment:
 JONSSON_DEFAULTS = {
     "slit_half_separation_cm": 0.5e-4,
     "packet_width_cm": 3.5e-6,
-    "kinetic_energy_ev": 45.0e3,
+    "kinetic_energy_eV": 45.0e3,
     "screen_distance_cm": 35.0,
     "cross_section_x_cm": 18.0,
 }
@@ -149,16 +149,16 @@ def make_experiment(consts: PhysicalConstants,
                     *,
                     slit_half_separation_cm: float,
                     packet_width_cm: float,
-                    kinetic_energy_ev: float,
+                    kinetic_energy_eV: float,
                     screen_distance_cm: float,
                     cross_section_x_cm: float) -> SlitExperiment:
     """Validated construction: non-relativistic guard, and the forward
     speed derived from the kinetic energy by E = p^2/2m."""
     if slit_half_separation_cm <= 0.0:
         raise ConfigError("slit_half_separation_cm must be positive")
-    if kinetic_energy_ev <= 0.0:
-        raise ConfigError("kinetic_energy_ev must be positive")
-    ratio = kinetic_energy_ev / consts.electron_rest_energy_ev
+    if kinetic_energy_eV <= 0.0:
+        raise ConfigError("kinetic_energy_eV must be positive")
+    ratio = kinetic_energy_eV / consts.electron_rest_energy_ev
     if ratio > RELATIVISTIC_RATIO_LIMIT:
         raise ConfigError(
             f"kinetic energy is {ratio:.2f} of the rest energy; the "
@@ -168,7 +168,7 @@ def make_experiment(consts: PhysicalConstants,
         slit_half_separation_cm=slit_half_separation_cm,
         packet_width_cm=packet_width_cm,
         forward_speed_cm_s=consts.speed_from_kinetic_energy(
-            kinetic_energy_ev),
+            kinetic_energy_eV),
         screen_distance_cm=screen_distance_cm,
         cross_section_x_cm=cross_section_x_cm,
     )

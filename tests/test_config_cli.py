@@ -22,12 +22,16 @@ from bohm_radiance.config import (
     output_schema,
 )
 from bohm_radiance.errors import ConfigError
+from bohm_radiance.presets import PAPER_VALLEY_INPUTS
+from bohm_radiance.radiance import ValleyInput
 from bohm_radiance.runner import _Emitter, run
 from bohm_radiance.trajectories import integrate_trajectory
+from bohm_radiance.units import constants
 from bohm_radiance.wavefield import (
     JONSSON_DEFAULTS,
     _polar,
     cross_section_scan,
+    make_experiment,
 )
 
 
@@ -51,6 +55,16 @@ def test_empty_config_yields_defaults(tmp_path):
     assert exp.cross_section_x_cm == JONSSON_DEFAULTS["cross_section_x_cm"]
     assert len(cfg.valleys) == 4
     assert cfg.ensemble.n == DEFAULT_CONFIG["ensemble"]["n"]
+
+
+def test_config_sections_are_constructor_keywords():
+    # one name per input: a default section, passed through unchanged,
+    # builds the default object
+    cfg = load_config(None)
+    assert make_experiment(constants("paper"),
+                           **DEFAULT_CONFIG["experiment"]) == cfg.experiment
+    assert tuple(ValleyInput(**v) for v in DEFAULT_CONFIG["valleys"]) \
+        == PAPER_VALLEY_INPUTS == cfg.valleys
 
 
 def test_no_config_file_same_as_empty(tmp_path):
@@ -589,20 +603,47 @@ def test_valley_inputs_keep_the_exit_code_contract(payload):
                 if codes[sub] == 0])
 
 
-@pytest.mark.parametrize("sub", ["quantum-potential", "valley-report",
-                                 "compare", "simulate-trajectories"])
-@pytest.mark.parametrize("width, error", [(1e160, "OverflowError"),
-                                          (1e-200, "ZeroDivisionError")])
-def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys, sub,
-                                                   width, error):
-    # packet_width_cm**2 overflows or underflows in the spreading
-    # parameter: exit 3 naming the exception, not a traceback
+# (id, experiment overrides, exception the CLI names): packet_width_cm**2
+# overflows or underflows in the spreading parameter, and a 1e200 cm slit
+# separation overflows a NumPy product of the field
+ARITHMETIC_FAULTS = [
+    ("1e+160", {"packet_width_cm": 1e160}, "OverflowError"),
+    ("1e-200", {"packet_width_cm": 1e-200}, "ZeroDivisionError"),
+    ("separation-1e+200", {"slit_half_separation_cm": 1e200},
+     "FloatingPointError"),
+]
+# (subcommand, mode); reproduction-mode spectrum, table1 and
+# detectability read no geometry
+FAULT_RUNS = [
+    *((sub, "reproduction") for sub in (
+        "quantum-potential", "valley-report", "compare",
+        "simulate-trajectories")),
+    *((sub, "simulation") for sub in (
+        "quantum-potential", "valley-report", "spectrum", "table1",
+        "detectability", "compare")),
+]
+
+
+# at the 1e200 separation a single path ends on its evaluation budget
+# instead (test_cli_path_with_an_overflowing_error_norm)
+@pytest.mark.parametrize("experiment, error, sub, mode", [
+    pytest.param(experiment, error, sub, mode,
+                 id=f"{name}-{error}-{sub}"
+                 + ("-simulation" if mode == "simulation" else ""))
+    for name, experiment, error in ARITHMETIC_FAULTS
+    for sub, mode in FAULT_RUNS
+    if (error, sub) != ("FloatingPointError", "simulate-trajectories")])
+def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys,
+                                                   experiment, error, sub,
+                                                   mode):
+    # exit 3 naming the exception, not a traceback, also where NumPy
+    # would only warn
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"experiment": {"packet_width_cm": width}}),
+    cfgfile.write_text(json.dumps({"experiment": experiment}),
                        encoding="utf-8")
     out = tmp_path / "out"
     assert main([sub, "--config", str(cfgfile), "--out", str(out),
-                 "--n", "100", "--t-end", "5e-10"]) == 3
+                 "--mode", mode, "--n", "100", "--t-end", "5e-10"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"numerical failure: {error}" in err

@@ -187,7 +187,7 @@ def test_valley_input_validation():
     with pytest.raises(ConfigError):
         rad.ValleyInput(grad_q_ev_per_cm=-1.0, tau_s=1e-10)
     with pytest.raises(ConfigError):
-        rad.ValleyInput(grad_q_ev_per_cm=1.0, v0_cm_s=-1.0, tau_s=1e-10)
+        rad.ValleyInput(grad_q_ev_per_cm=1.0, v0_cm_per_s=-1.0, tau_s=1e-10)
 
 
 # ---------------------------------------------------------------------------

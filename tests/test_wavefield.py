@@ -38,7 +38,7 @@ def test_relativistic_guard(paper):
     with pytest.raises(ConfigError, match="non-relativistic"):
         wf.make_experiment(
             paper, slit_half_separation_cm=0.5e-4, packet_width_cm=3.5e-6,
-            kinetic_energy_ev=200.0e3, screen_distance_cm=35.0,
+            kinetic_energy_eV=200.0e3, screen_distance_cm=35.0,
             cross_section_x_cm=18.0)
 
 
@@ -48,16 +48,16 @@ def test_speed_consistency_guard(paper, modern):
         for energy in (1.0e3, 45.0e3):
             exp = wf.make_experiment(
                 consts, **{**wf.JONSSON_DEFAULTS,
-                           "kinetic_energy_ev": energy})
+                           "kinetic_energy_eV": energy})
             assert exp.forward_speed_cm_s == \
                 consts.speed_from_kinetic_energy(energy)
     with pytest.raises(TypeError, match="forward_speed_cm_s"):
         wf.make_experiment(paper, **wf.JONSSON_DEFAULTS,
                            forward_speed_cm_s=1.0e10)
     for energy in (0.0, -1.0):
-        with pytest.raises(ConfigError, match="kinetic_energy_ev"):
+        with pytest.raises(ConfigError, match="kinetic_energy_eV"):
             wf.make_experiment(paper, **{**wf.JONSSON_DEFAULTS,
-                                         "kinetic_energy_ev": energy})
+                                         "kinetic_energy_eV": energy})
 
 
 def test_geometry_guards(paper):
@@ -70,7 +70,7 @@ def test_geometry_guards(paper):
     with pytest.raises(ConfigError):
         wf.make_experiment(
             paper, slit_half_separation_cm=0.0, packet_width_cm=3.5e-6,
-            kinetic_energy_ev=45.0e3, screen_distance_cm=35.0,
+            kinetic_energy_eV=45.0e3, screen_distance_cm=35.0,
             cross_section_x_cm=18.0)
 
 
