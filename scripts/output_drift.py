@@ -5,13 +5,20 @@
 Writes the data files of every subcommand in both modes, for the default
 config and for 43 cross sections, once per tree, each in a fresh
 interpreter that imports the package from that tree's ``src/`` directory,
-and compares them file by file (the manifest, which carries a timestamp,
-is left out).  For each file that differs it prints the largest change of
-a number relative to the peak magnitude of its column (a CSV column, or a
-JSON key path with list indices dropped), that column, and the largest
-pointwise relative change.  It exits 1 when a file differs in anything
-but numbers (text, flags, ``nan`` cells, structure), exists in one tree
-only, or when a run fails in one tree and not the other.
+and compares them file by file.  For each data file that differs it
+prints the largest change of a number relative to the peak magnitude of
+its column (a CSV column, or a JSON key path with list indices dropped),
+that column, and the largest pointwise relative change.
+
+Each tree's runs write under relative output directories from a working
+directory of their own, so the two trees' configs, and so their hashes,
+are the same.  The manifests are compared as parsed JSON, less the
+creation time and each file's checksum and size (the data files are
+compared themselves); the keys that differ are printed.
+
+It exits 1 when a data file differs in anything but numbers (text, flags,
+``nan`` cells, structure), when a manifest differs, when a file exists in
+one tree only, or when a run fails in one tree and not the other.
 """
 
 from __future__ import annotations
@@ -35,17 +42,18 @@ MODES = ("reproduction", "simulation")
 
 # runs write_outputs with the package of argv[1] and prints the runs as
 # JSON
-CHILD = ("import json, sys; from pathlib import Path; "
+CHILD = ("import json, sys; "
          "sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
          "from output_drift import write_outputs; "
-         "print(json.dumps(write_outputs(Path(sys.argv[3]))))")
+         "print(json.dumps(write_outputs()))")
 
 
-def write_outputs(root: Path) -> list[tuple[str, str | None]]:
+def write_outputs() -> list[tuple[str, str | None]]:
     """Run every subcommand in both modes at each of SECTIONS_CM, into
-    root/<section>/<mode>/<subcommand>/, with the package that is first
-    on ``sys.path``.  simulate-trajectories reads neither the section nor
-    the mode, so it runs once, at the default config in the first mode.
+    <section>/<mode>/<subcommand>/ under the working directory, with the
+    package that is first on ``sys.path``.  simulate-trajectories reads
+    neither the section nor the mode, so it runs once, at the default
+    config in the first mode.
 
     Returns (section/mode/subcommand, error type name or None) per run,
     in run order.
@@ -63,7 +71,7 @@ def write_outputs(root: Path) -> list[tuple[str, str | None]]:
                         and (x_cm, mode) != (None, MODES[0]):
                     continue
                 prefix = f"{section}/{mode}/{sub}"
-                over = {"mode": mode, "output_dir": str(root / prefix)}
+                over = {"mode": mode, "output_dir": prefix}
                 if x_cm is not None:
                     over["experiment"] = {"cross_section_x_cm": x_cm}
                 error = None
@@ -80,10 +88,12 @@ class NotNumeric(Exception):
 
 
 def write_tree(src: Path, root: Path) -> dict[str, str | None]:
-    """Write the outputs with the package in src; error name per run."""
+    """Write the outputs under root with the package in src; error name
+    per run."""
+    root.mkdir()
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), str(SCRIPTS), str(root)],
-        check=True, capture_output=True, text=True)
+        [sys.executable, "-c", CHILD, str(src), str(SCRIPTS)],
+        cwd=root, check=True, capture_output=True, text=True)
     return dict(json.loads(done.stdout.splitlines()[-1]))
 
 
@@ -170,6 +180,21 @@ def compare(old_file: Path, new_file: Path) -> tuple[float, str, float]:
     return drift(pairs)
 
 
+def _manifest_view(doc: dict) -> dict:
+    """A manifest less its creation time, with each file reduced to its
+    path."""
+    view = {key: value for key, value in doc.items() if key != "created_utc"}
+    view["files"] = [record["path"] for record in doc["files"]]
+    return view
+
+
+def manifest_differences(old: dict, new: dict) -> list[str]:
+    """The keys in which two parsed manifests disagree."""
+    a, b = _manifest_view(old), _manifest_view(new)
+    return [key for key in sorted(a.keys() | b.keys())
+            if key not in a or key not in b or a[key] != b[key]]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python scripts/output_drift.py OLD_SRC NEW_SRC",
@@ -187,13 +212,23 @@ def main(argv: list[str]) -> int:
                 failed = True
         names = sorted({path.relative_to(root).as_posix()
                         for root in roots for path in root.rglob("*")
-                        if path.is_file() and path.name != "manifest.json"})
-        identical = 0
+                        if path.is_file()})
+        identical = agree = manifests = 0
         for name in names:
             old_file, new_file = (root / name for root in roots)
+            is_manifest = old_file.name == "manifest.json"
+            manifests += is_manifest
             if not (old_file.exists() and new_file.exists()):
                 print(f"{name}: in one tree only")
                 failed = True
+            elif is_manifest:
+                keys = manifest_differences(json.loads(old_file.read_text()),
+                                            json.loads(new_file.read_text()))
+                if keys:
+                    print(f"{name}: manifests differ in {', '.join(keys)}")
+                    failed = True
+                else:
+                    agree += 1
             elif old_file.read_bytes() == new_file.read_bytes():
                 identical += 1
             else:
@@ -205,7 +240,9 @@ def main(argv: list[str]) -> int:
                     continue
                 print(f"{name}: {worst:.3e} of the peak of {column} "
                       f"(pointwise {pointwise:.3e})")
-        print(f"{identical} of {len(names)} data files byte-identical")
+        print(f"{identical} of {len(names) - manifests} data files "
+              "byte-identical")
+        print(f"{agree} of {manifests} manifests agree")
     return 1 if failed else 0
 
 

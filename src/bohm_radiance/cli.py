@@ -19,7 +19,7 @@ import sys
 
 from .config import config_schema, load_config
 from .errors import ConfigError, NumericalError
-from .runner import SUBCOMMANDS, run
+from .runner import SUBCOMMANDS, failure_note, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,8 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ArithmeticError as exc:  # float overflow or division by zero
-        print(f"numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"numerical failure: {failure_note(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
-"""Run configuration: schema-validated JSON in, typed objects out.
+"""Run configuration: schema-validated JSON in, the run's objects out.
 
 An empty config file (or none at all) yields the calibrated 45 keV
 two-slit defaults with the paper constant preset and the four quoted
 valley inputs.  Unknown keys are rejected; physical invariants of the
-embedded types are enforced on load.
+embedded types are enforced on load, and an ensemble end time may not
+pass the screen.  The ``ensemble``, ``scan`` and ``trajectories``
+sections stay the merged config's dicts, the ones its hash covers.
 """
 
 from __future__ import annotations
@@ -56,34 +58,15 @@ def output_schema() -> dict:
 
 
 @dataclass(frozen=True)
-class EnsembleSettings:
-    n: int
-    seed: int
-    t_end_s: float | None
-
-
-@dataclass(frozen=True)
-class ScanSettings:
-    y_half_range_cm: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class TrajectorySettings:
-    y0_list_cm: list[float]
-    n_samples: int
-    tol: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     constants_preset: str
     mode: str
     experiment: SlitExperiment
     valleys: tuple[ValleyInput, ...]
-    ensemble: EnsembleSettings
-    scan: ScanSettings
-    trajectories: TrajectorySettings
+    # the merged config's own section dicts
+    ensemble: dict
+    scan: dict
+    trajectories: dict
     output_dir: Path
     merged: dict = field(repr=False, default_factory=dict)
 
@@ -175,18 +158,22 @@ def load_config(path: str | Path | None = None,
     except ConfigError as exc:
         raise ConfigError(f"experiment: {exc}") from None
 
+    t_end = merged["ensemble"]["t_end_s"]
+    if t_end is not None and t_end > experiment.time_of_flight_s:
+        raise ConfigError(
+            f"ensemble.t_end_s = {t_end:g} s passes the screen: the time "
+            f"of flight is {experiment.time_of_flight_s:g} s")
+
     valleys = tuple(_build_valley(v, i + 1)
                     for i, v in enumerate(merged["valleys"]))
-    # each settings object of the schema admits no other keys, and the
-    # defaults supply every key
     return RunConfig(
         constants_preset=merged["constants"],
         mode=merged["mode"],
         experiment=experiment,
         valleys=valleys,
-        ensemble=EnsembleSettings(**merged["ensemble"]),
-        scan=ScanSettings(**merged["scan"]),
-        trajectories=TrajectorySettings(**merged["trajectories"]),
+        ensemble=merged["ensemble"],
+        scan=merged["scan"],
+        trajectories=merged["trajectories"],
         output_dir=Path(merged["output_dir"]),
         merged=merged,
     )

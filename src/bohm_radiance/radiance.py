@@ -40,10 +40,10 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .units import PhysicalConstants
 from .wavefield import (
+    ScanResult,
     SlitExperiment,
     _mirrored_q_grad_q,
     _psi_derivs,
-    cross_section_scan,
     interference_wavenumber,
     sigma_t,
     symmetric_grid,
@@ -357,26 +357,22 @@ SIMULATION_VALLEYS = 4
 
 
 def simulation_valley_inputs(exp: SlitExperiment, consts: PhysicalConstants,
-                             y_half_range_cm: float,
-                             n_samples: int) -> list[ValleyInput]:
-    """Derive per-valley inputs from a cross-section scan of the field.
+                             scan: ScanResult) -> list[ValleyInput]:
+    """Derive per-valley inputs from a ``cross_section_scan`` of the field.
 
-    The scan is taken at the experiment's cross section.  For each of the
-    first SIMULATION_VALLEYS valleys on the positive side (innermost
-    first) the wall gradient estimate and half-width come from the scan
-    and the entry speed from the guidance velocity at the inner flanking
-    crest.  These feed the same closed-form chain as reproduction mode,
-    but are held only to order-of-magnitude agreement with it.
+    For each of the first SIMULATION_VALLEYS valleys of the scan on the
+    positive side (innermost first) the wall gradient estimate and
+    half-width come from the scan and the entry speed from the guidance
+    velocity at the inner flanking crest, at the scan's time.  These feed
+    the same closed-form chain as reproduction mode, but are held only to
+    order-of-magnitude agreement with it.
     """
-    x_cm = exp.cross_section_x_cm
-    t = exp.section_time_s(x_cm)
-    scan = cross_section_scan(exp, consts, x_cm, y_half_range_cm, n_samples)
     out = []
     for v in scan.valleys:
         if v.y_min_cm <= 0.0 or v.index > SIMULATION_VALLEYS:
             continue
         inner_flank = v.y_left_cm  # nearer the axis for y_min > 0
-        v0 = abs(velocity_field(exp, consts, inner_flank, t))
+        v0 = abs(velocity_field(exp, consts, inner_flank, scan.t_s))
         out.append(ValleyInput(
             grad_q_ev_per_cm=v.grad_estimate_ev_per_cm,
             v0_cm_per_s=v0,
@@ -385,6 +381,6 @@ def simulation_valley_inputs(exp: SlitExperiment, consts: PhysicalConstants,
         ))
     if not out:
         raise NumericalError(
-            f"no valleys detected at x = {x_cm:g} cm; cannot derive "
+            f"no valleys detected at x = {scan.x_cm:g} cm; cannot derive "
             "simulation-mode inputs")
     return sorted(out, key=lambda vi: vi.index)

@@ -134,10 +134,10 @@ def _doc(cfg: RunConfig, kind: str, body: dict) -> dict:
 
 
 def _scan(cfg: RunConfig):
-    """The configured scan at the experiment's cross section."""
+    """The configured scan at the experiment's cross section; the run's
+    one scan builder."""
     return cross_section_scan(cfg.experiment, cfg.consts,
-                              cfg.experiment.cross_section_x_cm,
-                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+                              cfg.experiment.cross_section_x_cm, **cfg.scan)
 
 
 def _steps(cfg: RunConfig):
@@ -147,8 +147,7 @@ def _steps(cfg: RunConfig):
         inputs = cfg.valleys
     else:
         inputs = simulation_valley_inputs(cfg.experiment, cfg.consts,
-                                          cfg.scan.y_half_range_cm,
-                                          cfg.scan.n_samples)
+                                          _scan(cfg))
     return [spectrum_step(cfg.consts, vi) for vi in inputs]
 
 
@@ -179,16 +178,17 @@ def _cmd_valley_report(cfg: RunConfig, em: _Emitter) -> None:
 
 def _cmd_simulate_trajectories(cfg: RunConfig, em: _Emitter) -> None:
     exp, consts = cfg.experiment, cfg.consts
-    t_end = cfg.ensemble.t_end_s or exp.time_of_flight_s
-    for k, y0 in enumerate(cfg.trajectories.y0_list_cm, start=1):
+    ens, paths = cfg.ensemble, cfg.trajectories
+    t_end = ens["t_end_s"] or exp.time_of_flight_s
+    for k, y0 in enumerate(paths["y0_list_cm"], start=1):
         traj = integrate_trajectory(exp, consts, y0, t_end,
-                                    tol=cfg.trajectories.tol,
-                                    n_samples=cfg.trajectories.n_samples)
+                                    tol=paths["tol"],
+                                    n_samples=paths["n_samples"])
         em.write_csv(f"trajectory_{k:03d}.csv", {
             name: getattr(traj, name)
             for name in ("t_s", "y_cm", "vy_cm_s", "ay_field", "ay_numeric")})
-    result = run_ensemble(exp, consts, cfg.ensemble.n, cfg.ensemble.seed,
-                          t_end, tol=cfg.trajectories.tol)
+    result = run_ensemble(exp, consts, ens["n"], ens["seed"], t_end,
+                          tol=paths["tol"])
     em.write_json("ensemble_summary.json", _doc(cfg, "ensemble_summary", {
         "n": result.n,
         "seed": result.seed,
@@ -284,6 +284,22 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 
+def failure_note(exc: BaseException) -> str:
+    """The error's type and message; a floating-point fault also names
+    the innermost function of the package it was raised in."""
+    note = f"{type(exc).__name__}: {exc}"
+    if not isinstance(exc, ArithmeticError):
+        return note
+    site, prefix = None, f"{__package__}."
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith(prefix):
+            site = f"{module[len(prefix):]}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return note if site is None else f"{note} (in {site})"
+
+
 def run(subcommand: str, cfg: RunConfig) -> RunManifest:
     """Execute one subcommand and persist outputs plus manifest.json.
 
@@ -315,7 +331,7 @@ def run(subcommand: str, cfg: RunConfig) -> RunManifest:
             _HANDLERS[subcommand](cfg, em)
     except BaseException as exc:
         manifest.status = "incomplete"
-        manifest.notes.append(f"{type(exc).__name__}: {exc}")
+        manifest.notes.append(failure_note(exc))
         raise
     finally:
         (out_dir / "manifest.json").write_text(

@@ -22,7 +22,8 @@ def exp(paper):
 
 @pytest.fixture(scope="session")
 def scan18(exp, paper):
-    """The 18 cm cross section used throughout; expensive, so shared."""
+    """The default config's scan, at the 18 cm cross section used
+    throughout; expensive, so shared."""
     return cross_section_scan(exp, paper, exp.cross_section_x_cm,
                               8.0e-4, n_samples=16385)
 

@@ -14,7 +14,7 @@ import pytest
 from bohm_radiance import radiance as rad
 from bohm_radiance import trajectories as tr
 from bohm_radiance import wavefield as wf
-from bohm_radiance.config import DEFAULT_CONFIG, load_config
+from bohm_radiance.config import load_config
 from bohm_radiance.presets import (
     PAPER_VALLEY_INPUTS,
     VALLEY_ENTRY_SPEED_CM_S,
@@ -171,11 +171,10 @@ def test_field_correctness(exp, paper, masked_samples):
     assert res.ks_statistic < 0.05
 
 
-def test_simulation_mode_sanity(exp, paper):
+def test_simulation_mode_sanity(exp, paper, scan18):
     # field-derived wall gradients and per-valley energies against the
     # reproduction inputs, to one order of magnitude
-    sim_inputs = rad.simulation_valley_inputs(exp, paper,
-                                              **DEFAULT_CONFIG["scan"])
+    sim_inputs = rad.simulation_valley_inputs(exp, paper, scan18)
     assert [vi.index for vi in sim_inputs] == [1, 2, 3, 4]
     for sim, repro in zip(sim_inputs, PAPER_VALLEY_INPUTS):
         ratio = repro.grad_q_ev_per_cm / sim.grad_q_ev_per_cm

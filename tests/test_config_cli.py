@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohm_radiance import wavefield
+from bohm_radiance import runner, wavefield
 from bohm_radiance.cli import main
 from bohm_radiance.config import (
     DEFAULT_CONFIG,
@@ -54,7 +54,7 @@ def test_empty_config_yields_defaults(tmp_path):
     assert exp.packet_width_cm == JONSSON_DEFAULTS["packet_width_cm"]
     assert exp.cross_section_x_cm == JONSSON_DEFAULTS["cross_section_x_cm"]
     assert len(cfg.valleys) == 4
-    assert cfg.ensemble.n == DEFAULT_CONFIG["ensemble"]["n"]
+    assert cfg.ensemble["n"] == DEFAULT_CONFIG["ensemble"]["n"]
 
 
 def test_config_sections_are_constructor_keywords():
@@ -67,6 +67,14 @@ def test_config_sections_are_constructor_keywords():
         == PAPER_VALLEY_INPUTS == cfg.valleys
 
 
+def test_config_sections_are_the_merged_dicts(quick_overrides):
+    # the hashed sections are the ones the run reads
+    cfg = load_config(None, quick_overrides)
+    for name in ("ensemble", "scan", "trajectories"):
+        assert getattr(cfg, name) is cfg.merged[name]
+    assert cfg.scan == quick_overrides["scan"]
+
+
 def test_no_config_file_same_as_empty(tmp_path):
     a = load_config(None)
     b = load_config(write_config(tmp_path, {}))
@@ -75,9 +83,9 @@ def test_no_config_file_same_as_empty(tmp_path):
 
 def test_config_does_not_alias_defaults():
     cfg = load_config(None)
-    assert cfg.trajectories.y0_list_cm == \
+    assert cfg.trajectories["y0_list_cm"] == \
         DEFAULT_CONFIG["trajectories"]["y0_list_cm"]
-    assert cfg.trajectories.y0_list_cm is not \
+    assert cfg.trajectories["y0_list_cm"] is not \
         DEFAULT_CONFIG["trajectories"]["y0_list_cm"]
     assert cfg.merged["valleys"] is not DEFAULT_CONFIG["valleys"]
 
@@ -238,8 +246,7 @@ def test_quantum_potential_csv_round_trip(tmp_path):
     # at 2 cm the default scan has singular rows next to finite ones
     cfg, _ = run_subcommand(tmp_path, "quantum-potential",
                             extra={"experiment": {"cross_section_x_cm": 2.0}})
-    scan = cross_section_scan(cfg.experiment, cfg.consts, 2.0,
-                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+    scan = cross_section_scan(cfg.experiment, cfg.consts, 2.0, **cfg.scan)
     singular = scan.singular
     assert singular.any() and not singular.all()
     r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
@@ -271,17 +278,33 @@ def test_quantum_potential_is_one_kernel_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(wavefield, "_psi_derivs", counting)
     cfg, _ = run_subcommand(tmp_path, "quantum-potential")
-    assert points == [cfg.scan.n_samples]
+    assert points == [cfg.scan["n_samples"]]
+
+
+def test_simulation_mode_builds_one_scan(tmp_path, monkeypatch,
+                                        quick_overrides):
+    # the field-derived valley inputs read the run's own scan
+    calls = []
+
+    def counting(exp, consts, x_cm, **kwargs):
+        calls.append((x_cm, kwargs))
+        return cross_section_scan(exp, consts, x_cm, **kwargs)
+
+    monkeypatch.setattr(runner, "cross_section_scan", counting)
+    cfg, _ = run_subcommand(tmp_path, "table1", extra={"mode": "simulation"},
+                            overrides=quick_overrides)
+    assert calls == [(cfg.experiment.cross_section_x_cm,
+                      quick_overrides["scan"])]
 
 
 def test_trajectory_csv_round_trip(tmp_path, quick_overrides):
     cfg, _ = run_subcommand(tmp_path, "simulate-trajectories",
                             overrides=quick_overrides)
     traj = integrate_trajectory(cfg.experiment, cfg.consts,
-                                cfg.trajectories.y0_list_cm[0],
-                                cfg.ensemble.t_end_s,
-                                tol=cfg.trajectories.tol,
-                                n_samples=cfg.trajectories.n_samples)
+                                cfg.trajectories["y0_list_cm"][0],
+                                cfg.ensemble["t_end_s"],
+                                tol=cfg.trajectories["tol"],
+                                n_samples=cfg.trajectories["n_samples"])
     header, rows = read_csv(cfg.output_dir / "trajectory_001.csv")
     for name, col in zip(header, zip(*rows)):
         np.testing.assert_array_equal(parsed(col), bits(getattr(traj, name)))
@@ -306,8 +329,7 @@ def test_quantum_potential_csv_bytes(tmp_path, x_cm):
     extra = {"experiment": {"cross_section_x_cm": x_cm}} if x_cm else None
     cfg, manifest = run_subcommand(tmp_path, "quantum-potential", extra=extra)
     scan = cross_section_scan(cfg.experiment, cfg.consts,
-                              cfg.experiment.cross_section_x_cm,
-                              cfg.scan.y_half_range_cm, cfg.scan.n_samples)
+                              cfg.experiment.cross_section_x_cm, **cfg.scan)
     data = (cfg.output_dir / "quantum_potential.csv").read_bytes()
     assert data == reference_quantum_potential_csv(cfg, scan).encode("utf-8")
     assert manifest.files == [{"path": "quantum_potential.csv",
@@ -606,11 +628,14 @@ def test_valley_inputs_keep_the_exit_code_contract(payload):
 # (id, experiment overrides, exception the CLI names): packet_width_cm**2
 # overflows or underflows in the spreading parameter, and a 1e200 cm slit
 # separation overflows a NumPy product of the field
+# (id, experiment, exception, the function it is raised in)
 ARITHMETIC_FAULTS = [
-    ("1e+160", {"packet_width_cm": 1e160}, "OverflowError"),
-    ("1e-200", {"packet_width_cm": 1e-200}, "ZeroDivisionError"),
+    ("1e+160", {"packet_width_cm": 1e160}, "OverflowError",
+     "wavefield.spreading_parameter"),
+    ("1e-200", {"packet_width_cm": 1e-200}, "ZeroDivisionError",
+     "wavefield.spreading_parameter"),
     ("separation-1e+200", {"slit_half_separation_cm": 1e200},
-     "FloatingPointError"),
+     "FloatingPointError", "wavefield._psi_derivs"),
 ]
 # (subcommand, mode); reproduction-mode spectrum, table1 and
 # detectability read no geometry
@@ -626,18 +651,18 @@ FAULT_RUNS = [
 
 # at the 1e200 separation a single path ends on its evaluation budget
 # instead (test_cli_path_with_an_overflowing_error_norm)
-@pytest.mark.parametrize("experiment, error, sub, mode", [
-    pytest.param(experiment, error, sub, mode,
+@pytest.mark.parametrize("experiment, error, site, sub, mode", [
+    pytest.param(experiment, error, site, sub, mode,
                  id=f"{name}-{error}-{sub}"
                  + ("-simulation" if mode == "simulation" else ""))
-    for name, experiment, error in ARITHMETIC_FAULTS
+    for name, experiment, error, site in ARITHMETIC_FAULTS
     for sub, mode in FAULT_RUNS
     if (error, sub) != ("FloatingPointError", "simulate-trajectories")])
 def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys,
-                                                   experiment, error, sub,
-                                                   mode):
-    # exit 3 naming the exception, not a traceback, also where NumPy
-    # would only warn
+                                                   experiment, error, site,
+                                                   sub, mode):
+    # exit 3 naming the exception and where it was raised, not a
+    # traceback, also where NumPy would only warn
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"experiment": experiment}),
                        encoding="utf-8")
@@ -647,8 +672,13 @@ def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"numerical failure: {error}" in err
-    status = json.loads((out / "manifest.json").read_text())["status"]
-    assert status == "incomplete"
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["status"] == "incomplete"
+    # stderr prints the manifest's note
+    (note,) = doc["notes"]
+    assert note.startswith(f"{error}: ")
+    assert note.endswith(f" (in {site})")
+    assert err == f"numerical failure: {note}\n"
 
 
 def test_cli_ensemble_without_a_finite_lane(tmp_path, capsys, monkeypatch):
@@ -740,6 +770,25 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, payload,
     err = capsys.readouterr().err
     assert "config error" in err and path in err
     assert "Traceback" not in err
+
+
+def test_cli_refuses_an_end_time_past_the_screen(tmp_path, capsys):
+    # the default screen is reached at 2.78e-9 s
+    out = tmp_path / "out"
+    assert main(["simulate-trajectories", "--out", str(out),
+                 "--t-end", "5.6e-9"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ensemble.t_end_s" in err
+    assert "time of flight" in err
+    assert not out.exists()
+
+
+def test_end_time_at_the_screen_is_accepted():
+    t_flight = load_config(None).experiment.time_of_flight_s
+    cfg = load_config(None, {"ensemble": {"t_end_s": t_flight}})
+    assert cfg.ensemble["t_end_s"] == t_flight
+    with pytest.raises(ConfigError, match="ensemble.t_end_s"):
+        load_config(None, {"ensemble": {"t_end_s": 1.000001 * t_flight}})
 
 
 def test_integrate_trajectory_rejects_nan_t_end(exp, paper):

@@ -64,3 +64,35 @@ def test_json_differences_beyond_numbers(change):
     change(new)
     with pytest.raises(od.NotNumeric):
         od.json_pairs(DOC, new)
+
+
+MANIFEST = {
+    "schema": "bohm-radiance/output/v1", "kind": "manifest",
+    "tool": "bohm-radiance", "version": "0.1.0", "subcommand": "table1",
+    "constants": "paper", "mode": "simulation", "config_sha256": "ab" * 32,
+    "created_utc": "2026-01-01T00:00:00+00:00", "status": "complete",
+    "files": [{"path": "table1.json", "sha256": "cd" * 32, "bytes": 100}],
+    "notes": [],
+}
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d.update(created_utc="2026-01-02T00:00:00+00:00"),
+    lambda d: d["files"][0].update(sha256="ef" * 32, bytes=101),
+], ids=["created_utc", "file_checksum"])
+def test_manifests_agree_up_to_time_and_checksums(change):
+    new = json.loads(json.dumps(MANIFEST))
+    change(new)
+    assert od.manifest_differences(MANIFEST, new) == []
+
+
+@pytest.mark.parametrize("change, keys", [
+    (lambda d: d.update(config_sha256="00" * 32), ["config_sha256"]),
+    (lambda d: d.update(status="incomplete"), ["status"]),
+    (lambda d: d.update(notes=["NumericalError: no valleys"]), ["notes"]),
+    (lambda d: d["files"][0].update(path="table1.csv"), ["files"]),
+], ids=["config_sha256", "status", "note", "file_path"])
+def test_manifests_differ_in_their_keys(change, keys):
+    new = json.loads(json.dumps(MANIFEST))
+    change(new)
+    assert od.manifest_differences(MANIFEST, new) == keys

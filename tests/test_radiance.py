@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from bohm_radiance.config import DEFAULT_CONFIG
 from bohm_radiance.errors import ConfigError, NumericalError
 from bohm_radiance import radiance as rad
 from bohm_radiance import trajectories as tr
@@ -374,9 +373,8 @@ def test_ensemble_mean_power_below_valley_power(exp, paper):
 # ---------------------------------------------------------------------------
 # simulation-mode inputs
 
-def test_simulation_valley_inputs(exp, paper):
-    inputs = rad.simulation_valley_inputs(exp, paper,
-                                          **DEFAULT_CONFIG["scan"])
+def test_simulation_valley_inputs(exp, paper, scan18):
+    inputs = rad.simulation_valley_inputs(exp, paper, scan18)
     assert [vi.index for vi in inputs] == [1, 2, 3, 4]
     grads = [vi.grad_q_ev_per_cm for vi in inputs]
     assert all(g > 0 for g in grads)
