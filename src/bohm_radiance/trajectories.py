@@ -3,13 +3,12 @@
 A trajectory moves with the guidance velocity v(y, t) = (hbar/m)
 Im(psi'/psi) at its position and is accelerated by the quantum force
 a(y, t) = -(1/m) dQ/dy.  Both are closed forms owned by ``wavefield``;
-this module integrates dy/dt = v, for one path and for ensembles.  A
-single path's right-hand side evaluates the closed form on Python floats
-and an ensemble's on arrays, with the same bits.  Integrating with an
-adaptive embedded Runge-Kutta 4(5) scheme and then differentiating the
-recorded velocity numerically must reproduce a(y(t), t) along the path;
-both channels are recorded so that the consistency is a checkable
-property of every integration, not an assumption.
+this module integrates dy/dt = v, for one path and for ensembles, with
+one adaptive Dormand-Prince 5(4) stepper, ``transport``.  Integrating
+and then differentiating the recorded velocity numerically must
+reproduce a(y(t), t) along the path; both channels are recorded so that
+the consistency is a checkable property of every integration, not an
+assumption.
 
 For t >= 0 psi has no zero, so the velocity is finite for every finite y
 and a path is integrated to t_end wherever it goes: through the node
@@ -18,15 +17,17 @@ of the symmetry axis, except that a launch between the slits collapses
 onto the axis: once |y| has fallen below about 1e-14 cm its sign changes
 by round-off.
 
-Ensembles are sampled from |psi(y, 0)|^2 by inverse-CDF lookup on a dense
-grid (deterministic for a fixed seed) and transported by a vectorized
-Dormand-Prince 5(4) stepper in which every lane (trajectory) keeps its own
-time, step size and error norm, so a lane crossing a valley wall does not
-shrink the steps of the others.  A lane whose step collapses, or that
-needs more right-hand-side evaluations than a single path may, fails
-alone and comes back NaN.  Equivariance is quantified by the
-Kolmogorov-Smirnov distance between the final empirical distribution and
-|psi(y, t_end)|^2.
+In ``transport`` every lane (trajectory) keeps its own time, step size
+and error norm, so a lane crossing a valley wall does not shrink the
+steps of the others.  Many lanes are stepped on arrays; one lane, which
+is what a single path is, is stepped on Python floats in the same
+operations, so a path equals its lane in any batch bit for bit.  A lane
+whose step collapses, or that needs more right-hand-side evaluations
+than ``PATH_RHS_BUDGET``, fails alone and comes back NaN; a single path
+raises instead.  Ensembles are sampled from |psi(y, 0)|^2 by inverse-CDF
+lookup on a dense grid (deterministic for a fixed seed).  Equivariance is
+quantified by the Kolmogorov-Smirnov distance between the final
+empirical distribution and |psi(y, t_end)|^2.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ DEFAULT_TOL = 1.0e-9
 # Right-hand-side calls after which a single path or an ensemble lane
 # fails: 38x the most that a default-geometry path needs (5,276, at tol
 # 1e-12).  A launch between widely separated slits collapses onto the
-# axis, where the flow is stiff and RK45's steps shrink to ~1e-17 s.
+# axis, where the flow is stiff and the explicit steps shrink to ~1e-17 s.
 PATH_RHS_BUDGET = 200_000
 # Samples on the recording grid of a single path.
 DEFAULT_PATH_SAMPLES = 4096
@@ -107,9 +108,9 @@ def absolute_tolerance(exp: SlitExperiment, tol: float) -> float:
 def solve_ivp(fun, t_span, y0, **options):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    Only ``integrate_trajectory`` uses it, so importing the package does
-    not load SciPy.  It stays a name of this module, with a ``y0``
-    parameter, because the benchmark harness traces it here.
+    No module of the package calls it: it stays only because the
+    benchmark harness traces this name, until its counters move to
+    ``transport`` (ROADMAP item 1).
     """
     import scipy.integrate
     return scipy.integrate.solve_ivp(fun, t_span, y0, **options)
@@ -141,19 +142,15 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                          ) -> Trajectory:
     """Integrate dy/dt = v(y, t) from (y0, 0) to t_end.
 
-    Local error per step is controlled at rtol = ``tol`` and the atol of
-    ``absolute_tolerance`` by the embedded RK 4(5) pair.  The path is
-    recorded on a uniform grid of n_samples >= 3 points from 0 to t_end.
-    Any finite nonzero y0 is accepted: the velocity comes from psi'/psi,
-    which stays finite where |psi| is below the node floor, as in the
-    tails and between the slits.  The right-hand side evaluates the closed
-    form on Python floats, whose bits a test pins to the array form's, so
-    the path and its steps are those of an array right-hand side; the
-    recorded v and a come from the array form, block by block.  A path
-    that needs more than ``PATH_RHS_BUDGET`` right-hand-side evaluations
-    raises NumericalError.  SciPy's error norm may overflow on the way,
-    as between slits set very far apart; the budget reports such a path,
-    so the overflow warning is silenced.
+    The path is ``transport``'s one lane, recorded on a uniform grid of
+    n_samples >= 3 points from 0 to t_end: its samples equal the lane's
+    row in any batch, bit for bit, under rtol = ``tol`` and the atol of
+    ``absolute_tolerance``.  Any finite nonzero y0 is accepted: the
+    velocity comes from psi'/psi, which stays finite where |psi| is below
+    the node floor, as in the tails and between the slits.  The recorded
+    v and a come from the array form of the closed form, block by block.
+    A path that needs more than ``PATH_RHS_BUDGET`` right-hand-side
+    evaluations, or whose step collapses, raises NumericalError.
     """
     if not math.isfinite(y0):
         raise ConfigError("y0 must be finite")
@@ -165,29 +162,8 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     if n_samples < 3:
         raise ConfigError("n_samples must be >= 3, so that ay_numeric is "
                           "a derivative")
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > PATH_RHS_BUDGET:
-            raise NumericalError(
-                f"trajectory from y0 = {y0!r} cm: {PATH_RHS_BUDGET} "
-                f"right-hand-side evaluations reached only t = {t:.6g} s "
-                f"of {t_end:.6g} s")
-        args = wavefield._closed_form_args(exp, consts, float(y[0]), float(t))
-        return [wavefield._velocity_of(exp, consts, args)]
-
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    with np.errstate(over="ignore"):
-        sol = solve_ivp(rhs, (0.0, t_end), [y0], method="RK45",
-                        t_eval=t_eval, rtol=tol,
-                        atol=absolute_tolerance(exp, tol))
-    if sol.status < 0:
-        raise NumericalError(f"trajectory integration failed: {sol.message}")
-
-    t = sol.t
-    y = sol.y[0]
+    t = np.linspace(0.0, t_end, n_samples)
+    y = _transport_lane(exp, consts, y0, t_end, tol, t)
     v = np.empty_like(y)
     a_field = np.empty_like(y)
     for start in range(0, len(t), RECORD_BLOCK):
@@ -292,6 +268,131 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), t_end)
 
 
+# The tableau rows of transport as (Python float, stage) pairs without
+# the zero coefficients, so that a sum over one row adds the terms that
+# _lane_sum adds, in its order.
+_A_ROWS = [[(float(c), j) for j, c in enumerate(A[s, :s]) if c != 0.0]
+           for s in range(len(C))]
+_B_ROW, _E_ROW = ([(float(c), j) for j, c in enumerate(w) if c != 0.0]
+                  for w in (B, E))
+
+
+def _row_sum(row, k):
+    """``_lane_sum`` of one lane, over (coefficient, stage) pairs."""
+    return sum(c * k[j] for c, j in row)
+
+
+def _minimum(a, b):
+    """np.minimum of two floats: NaN if either is NaN."""
+    return a if a <= b or a != a else b
+
+
+def _maximum(a, b):
+    """np.maximum of two floats: NaN if either is NaN."""
+    return a if a >= b or a != a else b
+
+
+def _initial_step_of_lane(rhs, y0, f0, t_end, rtol, atol):
+    """``_initial_step`` of one lane, on Python floats, with its bits."""
+    scale = atol + abs(y0) * rtol
+    d0 = abs(y0 / scale)
+    d1 = abs(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = _minimum(h0, t_end)
+    f1 = rhs(h0, y0 + h0 * f0)
+    d2 = abs((f1 - f0) / scale)
+    d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 else math.nan)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = _maximum(1e-6, h0 * 1e-3)
+    else:
+        h1 = float(np.power(0.01 / _maximum(d1, d2),
+                            1.0 / (ERROR_ESTIMATOR_ORDER + 1)))
+    return _minimum(_minimum(100.0 * h0, h1), t_end)
+
+
+def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
+                    y0: float, t_end: float, tol: float,
+                    t_eval: np.ndarray) -> np.ndarray:
+    """``transport`` of one lane, stepped on Python floats.
+
+    Per step, numpy's per-call cost on one-element arrays exceeds the
+    arithmetic, so the lane's time, position, stages and step control
+    are Python floats.  Every operation is transport's, in its order:
+    the float branch of ``_closed_form_args`` and ``np.power`` are the
+    ufuncs' bits, and the Horner dense output runs once, on arrays, over
+    the accepted steps.  So the row equals the lane's row in any batch,
+    bit for bit.  Where transport would fail the lane, this raises
+    NumericalError naming the launch.
+    """
+    # a NumPy scalar among them would send the field to its array branch
+    y0, t_end, rtol = float(y0), float(t_end), float(tol)
+    atol = absolute_tolerance(exp, rtol)
+
+    def rhs(t, y):
+        return wavefield._velocity_of(
+            exp, consts, wavefield._closed_form_args(exp, consts, y, t))
+
+    exponent = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
+    nodes = C.tolist()
+    t, y = 0.0, y0
+    f = rhs(t, y)
+    h_abs = _initial_step_of_lane(rhs, y, f, t_end, rtol, atol)
+    rejected = False
+    nfev = 2
+    steps = []  # (t, t_new, h, y, k) of each accepted step
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        if not rejected:
+            h_abs = _maximum(h_abs, min_step)
+        if nfev > PATH_RHS_BUDGET:
+            raise NumericalError(
+                f"trajectory from y0 = {y0!r} cm: {PATH_RHS_BUDGET} "
+                f"right-hand-side evaluations reached only t = {t:.6g} s "
+                f"of {t_end:.6g} s")
+        if not h_abs >= min_step:
+            raise NumericalError(
+                f"trajectory from y0 = {y0!r} cm: the step fell below 10 "
+                f"ulp of t = {t:.6g} s")
+        if not t < t_end:
+            break
+
+        t_new = _minimum(t + h_abs, t_end)
+        h = t_new - t
+        k = [f]
+        for s in range(1, len(nodes)):
+            k.append(rhs(t + nodes[s] * h, y + _row_sum(_A_ROWS[s], k) * h))
+        y_new = y + h * _row_sum(_B_ROW, k)
+        k.append(rhs(t_new, y_new))
+        nfev += len(nodes)
+        scale = atol + _maximum(abs(y), abs(y_new)) * rtol
+        err = abs(_row_sum(_E_ROW, k) * h / scale)
+        factor = SAFETY * float(np.power(err, exponent)) if err else math.inf
+        if err < 1.0:
+            factor = _minimum(MAX_FACTOR, factor)
+            if rejected:
+                factor = _minimum(1.0, factor)
+            steps.append((t, t_new, h, y, k))
+            t, y, f = t_new, y_new, k[-1]
+            rejected = False
+        else:
+            # a non-finite error norm is a reject at the smallest factor
+            factor = factor if factor > MIN_FACTOR else MIN_FACTOR
+            rejected = True
+        h_abs = h * factor
+
+    # t_eval points in (t, t_new] of each step from its interpolant, as
+    # transport takes them
+    t0, t1, h, y, k = (np.array(v) for v in zip(*steps))
+    counts = np.diff(np.searchsorted(t_eval, t1, side="right"), prepend=0)
+    at = np.repeat(np.arange(len(steps)), counts)
+    x = (t_eval - t0[at]) / h[at]
+    kd = list(k.T)
+    poly = 0.0
+    for m in reversed(range(P.shape[1])):
+        poly = (poly + _lane_sum(P[:, m], kd)[at]) * x
+    return h[at] * poly + y[at]
+
+
 def transport(exp: SlitExperiment, consts: PhysicalConstants,
               y0: np.ndarray, t_end: float, tol: float = DEFAULT_TOL,
               t_eval: np.ndarray | None = None) -> np.ndarray:
@@ -308,7 +409,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     scipy counts them: 2 to start, ``len(C)`` per attempted step), fails
     alone: its row is NaN.  The right-hand side is the real psi'/psi form of
     the guidance velocity, so lanes far in the tails propagate like a
-    single packet.
+    single packet.  A call with one lane takes ``_transport_lane``, the
+    same steps on Python floats, which gives the same row.
 
     Returns positions of shape (len(y0), len(t_eval)), filled from each
     lane's dense output; t_eval defaults to the single point t_end.
@@ -326,6 +428,12 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     if not np.all(np.isfinite(y)):
         raise ConfigError("y0 must be finite")
     out = np.full((len(y), len(t_eval)), np.nan)
+    if len(y) == 1:
+        try:
+            out[0] = _transport_lane(exp, consts, y[0], t_end, tol, t_eval)
+        except NumericalError:
+            pass
+        return out
     rtol, atol = tol, absolute_tolerance(exp, tol)
 
     def rhs(t, y):

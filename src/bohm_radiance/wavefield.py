@@ -320,6 +320,10 @@ def _closed_form_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     comes back as a float array, or as a Python float when y and t are
     floats; then the four transcendentals are the ufuncs' bits on that
     float, and np.errstate is entered only where cosh p may overflow.
+    Python's float arithmetic raises no floating-point flag, so on floats
+    a product that overflows to b p = +-inf gives sin and cos NaN, their
+    IEEE value, without NumPy's invalid-value flag: a single path then
+    rejects the step, as its lane in a batch does.
     sech p is 1/cosh p, which is 0 where cosh overflows, its exact limit.
     Each returned array is even or odd in y (b and alpha do not depend on
     y; y, sin bp and tanh p are odd; sech p, cos bp and D are even).
@@ -336,7 +340,10 @@ def _closed_form_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
         else:
             with np.errstate(over="ignore"):
                 sech = 1.0 / float(np.cosh(p))
-        sin_bp, cos_bp = float(np.sin(bp)), float(np.cos(bp))
+        if math.isfinite(bp):
+            sin_bp, cos_bp = float(np.sin(bp)), float(np.cos(bp))
+        else:
+            sin_bp = cos_bp = math.nan
         tanh_p = float(np.tanh(p))
     else:
         with np.errstate(over="ignore"):

@@ -484,22 +484,27 @@ def test_cli_success(tmp_path, capsys):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # SciPy is imported only where a single path is integrated, so a fresh
-    # interpreter that imports the package and runs table1 never loads it
+    # no module of the package imports SciPy at run time: a fresh
+    # interpreter that imports the package, runs table1 and integrates
+    # single paths and an ensemble never loads it
     src = Path(__file__).resolve().parents[1] / "src"
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(src)!r})",
         "from bohm_radiance import (cli, config, radiance, runner,",
         "                           trajectories, wavefield)",
-        f"code = cli.main(['table1', '--out', {str(tmp_path / 'out')!r}])",
-        "print(code, sorted(m for m in sys.modules",
-        "                   if m == 'scipy' or m.startswith('scipy.')))",
+        f"codes = [cli.main(['table1', '--out', {str(tmp_path / 'a')!r}]),",
+        "         cli.main(['simulate-trajectories', '--n', '100',",
+        "                   '--t-end', '5e-10',",
+        f"                   '--out', {str(tmp_path / 'b')!r}])]",
+        "print(codes, sorted(m for m in sys.modules",
+        "                    if m == 'scipy' or m.startswith('scipy.')))",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+    assert list((tmp_path / "b").glob("trajectory_*.csv"))
 
 
 def test_cli_config_error(tmp_path, capsys):

@@ -301,12 +301,21 @@ def test_launch_ends_at_its_quantile(exp, paper, tol):
 
 
 def test_transport_lane_independent_of_batch(exp, paper):
-    y0 = np.concatenate([WALL_CROSSING_LAUNCHES_CM,
-                         tr.sample_initial_positions(exp, paper, 98, seed=5)])
-    batch = tr.transport(exp, paper, y0, exp.time_of_flight_s)
-    for i in (0, 1, 60):
-        alone = tr.transport(exp, paper, y0[i:i + 1], exp.time_of_flight_s)
+    # a one-lane call takes the float stepper and a batch the array one;
+    # a lane's row is the same in both, on a recording grid too: the wall
+    # crossings, launches where cosh p overflows and one just above the
+    # node floor between the slits
+    t_end = exp.time_of_flight_s
+    t_eval = np.linspace(0.0, t_end, 4096)
+    y0 = np.concatenate([WALL_CROSSING_LAUNCHES_CM, [3e-4, 1e-3, 1.37e-5],
+                         tr.sample_initial_positions(exp, paper, 95, seed=5)])
+    batch = tr.transport(exp, paper, y0, t_end)
+    recorded = tr.transport(exp, paper, y0, t_end, t_eval=t_eval)
+    for i in (0, 1, 2, 3, 4, 60):
+        alone = tr.transport(exp, paper, y0[i:i + 1], t_end)
         np.testing.assert_array_equal(alone[0], batch[i])
+        alone = tr.transport(exp, paper, y0[i:i + 1], t_end, t_eval=t_eval)
+        np.testing.assert_array_equal(alone[0], recorded[i])
 
 
 def test_transport_dense_output(exp, paper):
@@ -385,16 +394,15 @@ def test_integration_input_guards(exp, paper):
 
 def _assert_paths_reach_t_end(exp, paper, y0):
     # each path reaches t_end with a finite field acceleration, and its
-    # final agrees with its one-lane transport: both take the same RK45
-    # steps under one rtol and atol
+    # final is its lane's in one transport batch, bit for bit: a path is
+    # a one-lane transport
     t_end = exp.time_of_flight_s
-    fringe = wf.fringe_spacing(exp, paper, exp.screen_distance_cm)
     lanes = tr.transport(exp, paper, y0, t_end)[:, -1]
     for y, lane in zip(y0, lanes):
         traj = tr.integrate_trajectory(exp, paper, y, t_end, n_samples=512)
         assert traj.t_s[-1] == t_end
         assert np.all(np.isfinite(traj.ay_field))
-        assert abs(traj.y_cm[-1] - lane) < 1e-9 * fringe
+        assert traj.y_cm[-1] == lane
 
 
 def test_launches_below_the_initial_node_floor(exp, paper, tmp_path,
@@ -468,7 +476,8 @@ def test_cli_path_with_an_overflowing_error_norm(tmp_path, capsys,
 
 def test_transport_lane_over_its_evaluation_budget(exp, paper, monkeypatch):
     # a lane between widely separated slits stalls on the axis: it fails
-    # alone at the single-path budget, and the outer lane keeps its final
+    # alone at the single-path budget, and the outer lane keeps its final;
+    # called alone, on the float stepper, its row is NaN too
     wide = dataclasses.replace(exp, slit_half_separation_cm=1e-2)
     t_end = wide.time_of_flight_s / 1000
     outer = tr.transport(wide, paper, [1.5e-2], t_end)[0, -1]
@@ -476,6 +485,7 @@ def test_transport_lane_over_its_evaluation_budget(exp, paper, monkeypatch):
     finals = tr.transport(wide, paper, [4.9e-5, 1.5e-2], t_end)[:, -1]
     assert np.isnan(finals[0])
     assert finals[1] == outer
+    assert np.isnan(tr.transport(wide, paper, [4.9e-5], t_end)).all()
 
 
 def test_ensemble_counts_lanes_over_the_budget(exp, paper, monkeypatch):
@@ -517,27 +527,17 @@ def test_recording_blocks_keep_the_bits(exp, paper):
 
 @pytest.mark.parametrize("y0", [4.9e-5, -4.9e-5, 1.37e-5,
                                 *WALL_CROSSING_LAUNCHES_CM, 3e-4])
-def test_paths_match_the_array_rhs_bitwise(exp, paper, monkeypatch, y0):
-    # the float right-hand side changes neither a path nor its steps: the
-    # same solve_ivp on the array form gives the same samples and nfev;
-    # 3e-4 cm starts where cosh p overflows
+def test_paths_match_the_array_rhs_bitwise(exp, paper, y0):
+    # the float stepper of a single path changes neither its steps nor its
+    # samples: the path is its row in a transport batch that also holds
+    # other lanes, on the path's own recording grid; 3e-4 cm starts where
+    # cosh p overflows
     t_end = exp.time_of_flight_s
-    solutions = []
-    solver = tr.solve_ivp
-
-    def recording(*args, **options):
-        solutions.append(solver(*args, **options))
-        return solutions[-1]
-
-    monkeypatch.setattr(tr, "solve_ivp", recording)
     traj = tr.integrate_trajectory(exp, paper, y0, t_end)
-    ref = solve_ivp(lambda t, y: wf.velocity_field(exp, paper, y, t),
-                    (0.0, t_end), [y0], method="RK45", t_eval=traj.t_s,
-                    rtol=tr.DEFAULT_TOL,
-                    atol=tr.absolute_tolerance(exp, tr.DEFAULT_TOL))
-    assert np.array_equal(traj.y_cm, ref.y[0])
-    (sol,) = solutions
-    assert sol.nfev == ref.nfev
+    others = tr.sample_initial_positions(exp, paper, 7, seed=21)
+    batch = tr.transport(exp, paper, [*others[:3], y0, *others[3:]], t_end,
+                         t_eval=traj.t_s)
+    np.testing.assert_array_equal(traj.y_cm, batch[3])
 
 
 def test_single_path_rhs_makes_no_array_pass(exp, paper, monkeypatch):
