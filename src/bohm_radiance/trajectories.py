@@ -86,6 +86,14 @@ ERROR_ESTIMATOR_ORDER = 4
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+# The first trial step in units of the spreading time t_b (2.14e-11 s,
+# 7.7e-3 of the flight, at the default geometry; see ``first_step``).
+# Chosen on the 1,140,000 lanes of scripts/lane_sweep.py at tol 1e-9
+# from 0.05 to 0.8: only 0.4 and 0.45 left no more lanes above 1e-6,
+# 1e-5 and 1e-4 fringe spacings off the exact quantile map than scipy's
+# initial-step heuristic (503 / 39 / 4), and 0.45 the fewest
+# (313 / 19 / 0).  The counts are not monotone in the fraction.
+FIRST_STEP_FRACTION = 0.45
 # Samples per block when a recorded path's velocity and field acceleration
 # are evaluated.  Whole 262,144-sample arrays make every temporary of
 # _q_grad_q 2 MB, out of cache: on them it took 51-65 ms, and 32-43 /
@@ -103,6 +111,21 @@ def absolute_tolerance(exp: SlitExperiment, tol: float) -> float:
     ``transport`` are held to the same error contract.
     """
     return tol * exp.packet_width_cm
+
+
+def first_step(exp: SlitExperiment, consts: PhysicalConstants,
+               t_end: float) -> float:
+    """The first trial step of both integrators, in s, at most t_end:
+    ``FIRST_STEP_FRACTION`` of the packet's spreading time
+    t_b = 2 m sigma0^2 / hbar = 1 / b(1 s).
+
+    psi is real at t = 0, so v(y0, 0) = 0 for every launch and the field
+    sets no step there; t_b is the time scale on which the packets spread
+    and the fringes form.  It does not depend on the launch, so a single
+    path and its lane in ``transport`` start alike.
+    """
+    t_b = 1.0 / float(wavefield.spreading_parameter(exp, consts, 1.0))
+    return min(FIRST_STEP_FRACTION * t_b, float(t_end))
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -247,27 +270,6 @@ def _lane_sum(coeffs, k):
     return sum(c * kj for c, kj in zip(coeffs, k) if c != 0.0)
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    """scipy's ``select_initial_step`` from t = 0, one value per lane.
-
-    Its exponent takes ``ERROR_ESTIMATOR_ORDER`` of the module tableau,
-    which a test pins to scipy's RK45.
-    """
-    scale = atol + np.abs(y0) * rtol
-    d0 = np.abs(y0 / scale)
-    d1 = np.abs(f0 / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, t_end)
-        f1 = rhs(h0, y0 + h0 * f0)
-        d2 = np.abs((f1 - f0) / scale) / h0
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                      np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2))
-                      ** (1.0 / (ERROR_ESTIMATOR_ORDER + 1)))
-    return np.minimum(np.minimum(100.0 * h0, h1), t_end)
-
-
 # The tableau rows of transport as (Python float, stage) pairs without
 # the zero coefficients, so that a sum over one row adds the terms that
 # _lane_sum adds, in its order.
@@ -290,24 +292,6 @@ def _minimum(a, b):
 def _maximum(a, b):
     """np.maximum of two floats: NaN if either is NaN."""
     return a if a >= b or a != a else b
-
-
-def _initial_step_of_lane(rhs, y0, f0, t_end, rtol, atol):
-    """``_initial_step`` of one lane, on Python floats, with its bits."""
-    scale = atol + abs(y0) * rtol
-    d0 = abs(y0 / scale)
-    d1 = abs(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = _minimum(h0, t_end)
-    f1 = rhs(h0, y0 + h0 * f0)
-    d2 = abs((f1 - f0) / scale)
-    d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 else math.nan)
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = _maximum(1e-6, h0 * 1e-3)
-    else:
-        h1 = float(np.power(0.01 / _maximum(d1, d2),
-                            1.0 / (ERROR_ESTIMATOR_ORDER + 1)))
-    return _minimum(_minimum(100.0 * h0, h1), t_end)
 
 
 def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
@@ -336,9 +320,9 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
     nodes = C.tolist()
     t, y = 0.0, y0
     f = rhs(t, y)
-    h_abs = _initial_step_of_lane(rhs, y, f, t_end, rtol, atol)
+    h_abs = first_step(exp, consts, t_end)
     rejected = False
-    nfev = 2
+    nfev = 1
     steps = []  # (t, t_new, h, y, k) of each accepted step
     while True:
         min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
@@ -406,8 +390,10 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     mean what they mean for one path.  A lane that reaches t_end leaves
     the active set.  A lane whose step falls below 10 ulp of its time, or
     whose right-hand-side evaluations pass ``PATH_RHS_BUDGET`` (counted as
-    scipy counts them: 2 to start, ``len(C)`` per attempted step), fails
-    alone: its row is NaN.  The right-hand side is the real psi'/psi form of
+    scipy counts them with a given first step: 1 to start, ``len(C)`` per
+    attempted step), fails alone: its row is NaN, also where its
+    arithmetic overflows.  Every lane's first trial step is
+    ``first_step``.  The right-hand side is the real psi'/psi form of
     the guidance velocity, so lanes far in the tails propagate like a
     single packet.  A call with one lane takes ``_transport_lane``, the
     same steps on Python floats, which gives the same row.
@@ -443,69 +429,73 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     exponent = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
     lane = np.arange(len(y))
     t = np.zeros(len(y))
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+    h_abs = np.full(len(y), first_step(exp, consts, t_end))
     rejected = np.zeros(len(y), dtype=bool)
     filled = np.zeros(len(y), dtype=int)  # next t_eval index per lane
     # every lane still running attempts one step per pass, so the lanes
-    # share one count: f and the initial step's probe, then len(C) a step
-    nfev = 2
-    while True:
-        # a new step starts at no less than 10 ulp of t; a lane whose
-        # rejected step shrank below that (or is NaN), or whose last step
-        # passed the budget, fails
-        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        alive = (h_abs >= min_step) & (nfev <= PATH_RHS_BUDGET)
-        out[lane[~alive]] = np.nan
-        running = alive & (t < t_end)
-        lane, t, y, f, h_abs, rejected, filled = (
-            v[running] for v in (lane, t, y, f, h_abs, rejected, filled))
-        if not lane.size:
-            return out
+    # share one count: f, then len(C) a step
+    nfev = 1
+    # Python's float arithmetic raises no flag, and neither does the lanes'
+    # here, whatever the caller's policy: as on the float stepper, a
+    # non-finite velocity is a rejected step and its lane fails alone
+    with np.errstate(all="ignore"):
+        f = rhs(t, y)
+        while True:
+            # a new step starts at no less than 10 ulp of t; a lane whose
+            # rejected step shrank below that (or is NaN), or whose last step
+            # passed the budget, fails
+            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            alive = (h_abs >= min_step) & (nfev <= PATH_RHS_BUDGET)
+            out[lane[~alive]] = np.nan
+            running = alive & (t < t_end)
+            lane, t, y, f, h_abs, rejected, filled = (
+                v[running] for v in (lane, t, y, f, h_abs, rejected, filled))
+            if not lane.size:
+                return out
 
-        t_new = np.minimum(t + h_abs, t_end)
-        h = t_new - t
-        k = [f]
-        for s in range(1, len(C)):
-            k.append(rhs(t + C[s] * h, y + _lane_sum(A[s, :s], k) * h))
-        y_new = y + h * _lane_sum(B, k)
-        k.append(rhs(t_new, y_new))
-        nfev += len(C)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err = np.abs(_lane_sum(E, k) * h / scale)
-        accept = err < 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = np.minimum(t + h_abs, t_end)
+            h = t_new - t
+            k = [f]
+            for s in range(1, len(C)):
+                k.append(rhs(t + C[s] * h, y + _lane_sum(A[s, :s], k) * h))
+            y_new = y + h * _lane_sum(B, k)
+            k.append(rhs(t_new, y_new))
+            nfev += len(C)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = np.abs(_lane_sum(E, k) * h / scale)
+            accept = err < 1.0
             factor = SAFETY * err ** exponent  # inf at err == 0
-        # a non-finite error norm is a reject at the smallest factor, and
-        # a step accepted after a reject may not grow
-        factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
-                          np.fmax(MIN_FACTOR, factor))
-        factor = np.where(accept & rejected, np.minimum(1.0, factor), factor)
-        h_abs = h * factor
+            # a non-finite error norm is a reject at the smallest factor,
+            # and a step accepted after a reject may not grow
+            factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
+                              np.fmax(MIN_FACTOR, factor))
+            factor = np.where(accept & rejected, np.minimum(1.0, factor),
+                              factor)
+            h_abs = h * factor
 
-        # t_eval points in (t, t_new] from this step's interpolant
-        stop = np.searchsorted(t_eval, t_new, side="right")
-        dense = np.flatnonzero(accept & (stop > filled))
-        if dense.size:
-            counts = stop[dense] - filled[dense]
-            at = np.repeat(np.arange(dense.size), counts)
-            cols = filled[dense][at] + np.arange(counts.sum()) \
-                - (np.cumsum(counts) - counts)[at]
-            rows = dense[at]
-            x = (t_eval[cols] - t[rows]) / h[rows]
-            # y + h sum_m Q_m x^(m+1) with Q = K^T P, by Horner's rule
-            kd = [kj[dense] for kj in k]
-            poly = 0.0
-            for m in reversed(range(P.shape[1])):
-                poly = (poly + _lane_sum(P[:, m], kd)[at]) * x
-            out[lane[rows], cols] = h[rows] * poly + y[rows]
-            filled[dense] = stop[dense]
+            # t_eval points in (t, t_new] from this step's interpolant
+            stop = np.searchsorted(t_eval, t_new, side="right")
+            dense = np.flatnonzero(accept & (stop > filled))
+            if dense.size:
+                counts = stop[dense] - filled[dense]
+                at = np.repeat(np.arange(dense.size), counts)
+                cols = filled[dense][at] + np.arange(counts.sum()) \
+                    - (np.cumsum(counts) - counts)[at]
+                rows = dense[at]
+                x = (t_eval[cols] - t[rows]) / h[rows]
+                # y + h sum_m Q_m x^(m+1) with Q = K^T P, by Horner's rule
+                kd = [kj[dense] for kj in k]
+                poly = 0.0
+                for m in reversed(range(P.shape[1])):
+                    poly = (poly + _lane_sum(P[:, m], kd)[at]) * x
+                out[lane[rows], cols] = h[rows] * poly + y[rows]
+                filled[dense] = stop[dense]
 
-        t = np.where(accept, t_new, t)
-        y = np.where(accept, y_new, y)
-        f = np.where(accept, k[-1], f)
-        rejected = ~accept
+            t = np.where(accept, t_new, t)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, k[-1], f)
+            rejected = ~accept
 
 
 def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,

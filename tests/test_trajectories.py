@@ -107,8 +107,8 @@ def test_velocity_matches_psi_derivatives(exp, paper):
 
 
 def test_velocity_scalar_and_lane_times_agree_bitwise(exp, paper):
-    # solve_ivp passes a float t, transport one t per lane: the same
-    # (y, t) must give the same velocity either way
+    # a scan passes one float t for its whole grid, transport one t per
+    # lane: the same (y, t) must give the same velocity either way
     rng = np.random.default_rng(78)
     t = rng.uniform(0.0, exp.time_of_flight_s, 5000)
     y = rng.uniform(-3e-4, 3e-4, 5000)
@@ -229,13 +229,25 @@ def test_tableau_is_scipys_rk45():
 
 # Launches that cross a valley wall sharply: the two largest quantile-map
 # errors (3.9e-5 and 4.2e-6 fringes at the screen) among 1,000 draws from
-# |psi(., 0)|^2 with seed 3.
+# |psi(., 0)|^2 with seed 3 when the first step was scipy's heuristic.
 WALL_CROSSING_LAUNCHES_CM = (5.403068233149945e-05, 4.923331841788303e-05)
+
+
+def test_first_step_is_a_fraction_of_the_spreading_time(exp, paper):
+    # t_b = 2 m sigma0^2 / hbar is the time at which the packets have spread
+    # by sqrt(2), 2.14e-11 s here; the first step is at most t_end
+    t_b = 2.0 * paper.electron_mass * exp.packet_width_cm**2 / paper.hbar_ev_s
+    assert t_b == pytest.approx(2.14e-11, rel=5e-3, abs=0.0)
+    assert wf.sigma_t(exp, paper, t_b) == pytest.approx(
+        math.sqrt(2.0) * exp.packet_width_cm, rel=1e-12, abs=0.0)
+    assert tr.first_step(exp, paper, exp.time_of_flight_s) == pytest.approx(
+        tr.FIRST_STEP_FRACTION * t_b, rel=1e-15, abs=0.0)
+    assert tr.first_step(exp, paper, 1e-13) == 1e-13
 
 
 def test_transport_lanes_match_single_path_rk45(exp, paper):
     # each lane must follow its own one-path RK45 solve at the same
-    # rtol/atol, not a step size shared with the other lanes
+    # rtol/atol and first step, not a step size shared with the other lanes
     t_end = exp.time_of_flight_s
     y0 = np.concatenate([WALL_CROSSING_LAUNCHES_CM,
                          tr.sample_initial_positions(exp, paper, 6, seed=8)])
@@ -245,7 +257,8 @@ def test_transport_lanes_match_single_path_rk45(exp, paper):
         ref = solve_ivp(lambda t, y: wf.velocity_field(exp, paper, y, t),
                         (0.0, t_end), [lane], method="RK45",
                         rtol=tr.DEFAULT_TOL,
-                        atol=tr.absolute_tolerance(exp, tr.DEFAULT_TOL))
+                        atol=tr.absolute_tolerance(exp, tr.DEFAULT_TOL),
+                        first_step=tr.first_step(exp, paper, t_end))
         assert ref.status == 0
         assert abs(final - ref.y[0, -1]) < 1e-9 * fringe
 
@@ -276,28 +289,34 @@ def test_transport_lanes_match_quantile_map(exp, paper):
     assert worst[0] > worst[1] > worst[2]
 
 
-# a draw of SeedSequence(1837), the ensemble benchmark's seed, that ends in
-# another fringe at DEFAULT_TOL (ROADMAP item 7)
-WRONG_FRINGE_LAUNCH_CM = 5.49856579187651e-05
+# The four worst of the 1,140,000 lanes of scripts/lane_sweep.py when the
+# first trial step was scipy's heuristic, the whole flight or a step too
+# long (2.511, 9.3e-4, 9.0e-4 and 2.4e-4 fringe spacings off the quantile
+# map), by the ensemble benchmark seed that draws them.  Seed 1837's ended
+# in another fringe; the other three launch within 1e-7 cm of a slit
+# centre.
+FIRST_STEP_LAUNCHES_CM = {
+    "seed1837": 5.49856579187651e-05,
+    "seed614": 4.991556850174574e-05,
+    "seed656": 5.003420773042377e-05,
+    "seed770": -4.9912188976446876e-05,
+}
 
 
-@pytest.mark.parametrize("tol", [
-    pytest.param(tr.DEFAULT_TOL, marks=pytest.mark.xfail(
-        strict=True, reason="at tol 1e-9 the launch ends 2.511 fringe "
-        "spacings from the quantile map, as a path and as a lane")),
-    1e-10])
-def test_launch_ends_at_its_quantile(exp, paper, tol):
-    # a single path and its one-lane transport both end within the
-    # benchmark's 1e-3 fringe spacings of the exact quantile map
+@pytest.mark.parametrize("y0", FIRST_STEP_LAUNCHES_CM.values(),
+                         ids=FIRST_STEP_LAUNCHES_CM.keys())
+def test_launch_ends_at_its_quantile(exp, paper, y0):
+    # at the default tol a single path and its one-lane transport both end
+    # within 1e-5 fringe spacings of the exact quantile map (at most 2.7e-7
+    # for these four)
     t_end = exp.time_of_flight_s
     fringe = wf.fringe_spacing(exp, paper, exp.screen_distance_cm)
-    y0 = np.array([WRONG_FRINGE_LAUNCH_CM])
-    expected = _bench_oracle().quantile_map(exp, paper, y0, t_end)[0]
-    path = tr.integrate_trajectory(exp, paper, WRONG_FRINGE_LAUNCH_CM, t_end,
-                                   tol=tol)
-    lane = tr.transport(exp, paper, y0, t_end, tol=tol)
+    expected = _bench_oracle().quantile_map(exp, paper, np.array([y0]),
+                                            t_end)[0]
+    path = tr.integrate_trajectory(exp, paper, y0, t_end)
+    lane = tr.transport(exp, paper, [y0], t_end)
     for final in (path.y_cm[-1], lane[0, -1]):
-        assert abs(final - expected) / fringe < 1e-3
+        assert abs(final - expected) / fringe < 1e-5
 
 
 def test_transport_lane_independent_of_batch(exp, paper):
@@ -456,9 +475,9 @@ def test_cli_path_over_its_evaluation_budget(tmp_path, capsys, monkeypatch):
 
 def test_cli_path_with_an_overflowing_error_norm(tmp_path, capsys,
                                                 monkeypatch):
-    # between slits 1e200 cm apart scipy's error norm overflows before the
-    # budget is reached; with warnings as errors the run still exits 3 at
-    # the budget, naming the launch, and prints no traceback
+    # between slits 1e200 cm apart the path's error norm overflows before
+    # the budget is reached; with warnings as errors the run still exits 3
+    # at the budget, naming the launch, and prints no traceback
     monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
     config = tmp_path / "wider.json"
     config.write_text(json.dumps(
@@ -488,13 +507,29 @@ def test_transport_lane_over_its_evaluation_budget(exp, paper, monkeypatch):
     assert np.isnan(tr.transport(wide, paper, [4.9e-5], t_end)).all()
 
 
+def test_transport_lanes_fail_alone_under_the_run_policy(exp, paper,
+                                                        monkeypatch):
+    # between slits 1e200 cm apart p = 4 alpha Y y overflows; under a run's
+    # floating-point policy a batch still fails each lane alone, and its
+    # rows are the lanes' one-lane calls, which step on Python floats
+    wide = dataclasses.replace(exp, slit_half_separation_cm=1e200)
+    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
+    t_end = wide.time_of_flight_s
+    y0 = [4.9e-5, 5e-5]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        batch = tr.transport(wide, paper, y0, t_end)
+        alone = [tr.transport(wide, paper, [y], t_end)[0] for y in y0]
+    assert np.isnan(batch).all()
+    np.testing.assert_array_equal(batch, alone)
+
+
 def test_ensemble_counts_lanes_over_the_budget(exp, paper, monkeypatch):
-    # at a budget below the median lane's count (about 1,124 evaluations)
-    # some lanes fail and are counted; the others keep their finals
+    # at a budget of the median lane's count (1,099 evaluations) some
+    # lanes fail and are counted; the others keep their finals
     t_end = exp.time_of_flight_s
     full = tr.run_ensemble(exp, paper, 100, 5, t_end)
     assert full.n_failed == 0
-    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 1_124)
+    monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 1_099)
     cut = tr.run_ensemble(exp, paper, 100, 5, t_end)
     failed = np.isnan(cut.final_positions_cm)
     assert 0 < cut.n_failed == failed.sum() < 100
