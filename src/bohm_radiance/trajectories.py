@@ -4,10 +4,10 @@ A trajectory moves with the guidance velocity v(y, t) = (hbar/m)
 Im(psi'/psi) at its position and is accelerated by the quantum force
 a(y, t) = -(1/m) dQ/dy.  Both are closed forms owned by ``wavefield``;
 this module integrates dy/dt = v, for one path and for ensembles, with
-one adaptive Dormand-Prince 5(4) stepper, ``transport``.  Integrating
-and then differentiating the recorded velocity numerically must
-reproduce a(y(t), t) along the path; both channels are recorded so that
-the consistency is a checkable property of every integration, not an
+one adaptive Dormand-Prince 5(4) step, ``_step``.  Integrating and then
+differentiating the recorded velocity numerically must reproduce
+a(y(t), t) along the path; both channels are recorded so that the
+consistency is a checkable property of every integration, not an
 assumption.
 
 For t >= 0 psi has no zero, so the velocity is finite for every finite y
@@ -19,15 +19,17 @@ by round-off.
 
 In ``transport`` every lane (trajectory) keeps its own time, step size
 and error norm, so a lane crossing a valley wall does not shrink the
-steps of the others.  Many lanes are stepped on arrays; one lane, which
-is what a single path is, is stepped on Python floats in the same
-operations, so a path equals its lane in any batch bit for bit.  A lane
-whose step collapses, or that needs more right-hand-side evaluations
-than ``PATH_RHS_BUDGET``, fails alone and comes back NaN; a single path
-raises instead.  Ensembles are sampled from |psi(y, 0)|^2 by inverse-CDF
-lookup on a dense grid (deterministic for a fixed seed).  Equivariance is
-quantified by the Kolmogorov-Smirnov distance between the final
-empirical distribution and |psi(y, t_end)|^2.
+steps of the others.  Both steppers take ``_step`` and its dense output:
+``transport`` on arrays, for ensembles, and ``_transport_lane`` on
+Python floats, for a single path, where NumPy's per-call cost on
+one-element arrays would exceed the arithmetic.  So a path equals its
+lane in any batch bit for bit.  A lane whose step collapses, or that
+needs more right-hand-side evaluations than ``PATH_RHS_BUDGET``, fails
+alone and comes back NaN; a single path raises instead.  Ensembles are
+sampled from |psi(y, 0)|^2 by inverse-CDF lookup on a dense grid
+(deterministic for a fixed seed).  Equivariance is quantified by the
+Kolmogorov-Smirnov distance between the final empirical distribution and
+|psi(y, t_end)|^2.
 """
 
 from __future__ import annotations
@@ -108,8 +110,11 @@ def absolute_tolerance(exp: SlitExperiment, tol: float) -> float:
     """The atol of both integrators for rtol = ``tol``: tol packet widths.
 
     It does not depend on the launch, so a single path and its lane in
-    ``transport`` are held to the same error contract.
+    ``transport`` are held to the same error contract.  A tol that is not
+    positive and finite raises ConfigError.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError("tol must be positive and finite")
     return tol * exp.packet_width_cm
 
 
@@ -165,9 +170,10 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                          ) -> Trajectory:
     """Integrate dy/dt = v(y, t) from (y0, 0) to t_end.
 
-    The path is ``transport``'s one lane, recorded on a uniform grid of
-    n_samples >= 3 points from 0 to t_end: its samples equal the lane's
-    row in any batch, bit for bit, under rtol = ``tol`` and the atol of
+    The path is a lane of ``transport``, stepped on Python floats by
+    ``_transport_lane`` and recorded on a uniform grid of n_samples >= 3
+    points from 0 to t_end: its samples equal the lane's row in any
+    batch, bit for bit, under rtol = ``tol`` and the atol of
     ``absolute_tolerance``.  Any finite nonzero y0 is accepted: the
     velocity comes from psi'/psi, which stays finite where |psi| is below
     the node floor, as in the tails and between the slits.  The recorded
@@ -261,37 +267,60 @@ def ks_statistic_against_density(exp: SlitExperiment,
     return float(max(upper, lower))
 
 
-def _lane_sum(coeffs, k):
-    """sum_j coeffs[j] k[j], elementwise, skipping zero coefficients.
-
-    Unlike a BLAS product, each lane's value depends on that lane alone,
-    so a lane's path does not change with the other lanes of the call.
-    """
-    return sum(c * kj for c, kj in zip(coeffs, k) if c != 0.0)
-
-
-# The tableau rows of transport as (Python float, stage) pairs without
-# the zero coefficients, so that a sum over one row adds the terms that
-# _lane_sum adds, in its order.
-_A_ROWS = [[(float(c), j) for j, c in enumerate(A[s, :s]) if c != 0.0]
-           for s in range(len(C))]
-_B_ROW, _E_ROW = ([(float(c), j) for j, c in enumerate(w) if c != 0.0]
-                  for w in (B, E))
+# The tableau rows of transport, the columns of P among them, as (Python
+# float, stage) pairs without the zero coefficients, and each stage after
+# the first as (node, row of A): a Python float times an array gives the
+# bits of a NumPy one, and times a Python float keeps the float stepper
+# off NumPy's scalars.
+_STAGES = [(float(C[s]),
+            [(float(c), j) for j, c in enumerate(A[s, :s]) if c != 0.0])
+           for s in range(1, len(C))]
+_B_ROW, _E_ROW, *_P_ROWS = (
+    [(float(c), j) for j, c in enumerate(w) if c != 0.0]
+    for w in (B, E, *P.T))
+_EXPONENT = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
 
 
 def _row_sum(row, k):
-    """``_lane_sum`` of one lane, over (coefficient, stage) pairs."""
+    """sum_j c_j k[j] over one row's (coefficient, stage) pairs.
+
+    On arrays it is elementwise: unlike a BLAS product, each lane's value
+    depends on that lane alone, so a lane's path does not change with the
+    other lanes of the call.
+    """
     return sum(c * k[j] for c, j in row)
 
 
-def _minimum(a, b):
-    """np.minimum of two floats: NaN if either is NaN."""
-    return a if a <= b or a != a else b
+def _rhs(exp: SlitExperiment, consts: PhysicalConstants, t, y):
+    """dy/dt of both steppers: the guidance velocity at (y, t)."""
+    return wavefield._velocity_of(
+        exp, consts, wavefield._closed_form_args(exp, consts, y, t))
 
 
-def _maximum(a, b):
-    """np.maximum of two floats: NaN if either is NaN."""
-    return a if a >= b or a != a else b
+def _step(exp: SlitExperiment, consts: PhysicalConstants, t, y, f, h,
+          t_new):
+    """One Dormand-Prince step of length h = t_new - t from (t, y), where
+    f is dy/dt: y_new and the seven stages, the last of them at
+    (t_new, y_new).  On Python floats or, lane by lane, on arrays."""
+    k = [f]
+    for node, row in _STAGES:
+        k.append(_rhs(exp, consts, t + node * h, y + _row_sum(row, k) * h))
+    y_new = y + h * _row_sum(_B_ROW, k)
+    k.append(_rhs(exp, consts, t_new, y_new))
+    return y_new, k
+
+
+def _dense_output(t, t0, h, y, k, at):
+    """Positions at the times t, each from the interpolant of step at[i]:
+    the steps start at (t0, y), have length h and stages k, each an array
+    over the steps.  y + h sum_m Q_m x^(m+1) with Q = K^T P and
+    x = (t - t0) / h, by Horner's rule."""
+    h = h[at]
+    x = (t - t0[at]) / h
+    poly = 0.0
+    for row in reversed(_P_ROWS):
+        poly = (poly + _row_sum(row, k)[at]) * x
+    return h * poly + y[at]
 
 
 def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
@@ -301,25 +330,18 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
 
     Per step, numpy's per-call cost on one-element arrays exceeds the
     arithmetic, so the lane's time, position, stages and step control
-    are Python floats.  Every operation is transport's, in its order:
-    the float branch of ``_closed_form_args`` and ``np.power`` are the
-    ufuncs' bits, and the Horner dense output runs once, on arrays, over
-    the accepted steps.  So the row equals the lane's row in any batch,
-    bit for bit.  Where transport would fail the lane, this raises
-    NumericalError naming the launch.
+    are Python floats.  The step is ``_step`` and the dense output
+    ``_dense_output``, run once, on arrays, over the accepted steps; the
+    float branch of ``_closed_form_args`` and ``np.power`` are the
+    ufuncs' bits.  So the row equals the lane's row in any batch, bit for
+    bit.  Where transport would fail the lane, this raises NumericalError
+    naming the launch.
     """
     # a NumPy scalar among them would send the field to its array branch
     y0, t_end, rtol = float(y0), float(t_end), float(tol)
     atol = absolute_tolerance(exp, rtol)
-
-    def rhs(t, y):
-        return wavefield._velocity_of(
-            exp, consts, wavefield._closed_form_args(exp, consts, y, t))
-
-    exponent = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
-    nodes = C.tolist()
     t, y = 0.0, y0
-    f = rhs(t, y)
+    f = _rhs(exp, consts, t, y)
     h_abs = first_step(exp, consts, t_end)
     rejected = False
     nfev = 1
@@ -327,7 +349,7 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
     while True:
         min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
         if not rejected:
-            h_abs = _maximum(h_abs, min_step)
+            h_abs = max(h_abs, min_step)
         if nfev > PATH_RHS_BUDGET:
             raise NumericalError(
                 f"trajectory from y0 = {y0!r} cm: {PATH_RHS_BUDGET} "
@@ -340,21 +362,20 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
         if not t < t_end:
             break
 
-        t_new = _minimum(t + h_abs, t_end)
+        # h_abs and t_new are finite, so min and max see no NaN; where
+        # y_new is not, the last stage and so the error norm are NaN
+        t_new = min(t + h_abs, t_end)
         h = t_new - t
-        k = [f]
-        for s in range(1, len(nodes)):
-            k.append(rhs(t + nodes[s] * h, y + _row_sum(_A_ROWS[s], k) * h))
-        y_new = y + h * _row_sum(_B_ROW, k)
-        k.append(rhs(t_new, y_new))
-        nfev += len(nodes)
-        scale = atol + _maximum(abs(y), abs(y_new)) * rtol
+        y_new, k = _step(exp, consts, t, y, f, h, t_new)
+        nfev += len(C)
+        scale = atol + max(abs(y), abs(y_new)) * rtol
         err = abs(_row_sum(_E_ROW, k) * h / scale)
-        factor = SAFETY * float(np.power(err, exponent)) if err else math.inf
+        factor = SAFETY * float(np.power(err, _EXPONENT)) if err \
+            else math.inf
         if err < 1.0:
-            factor = _minimum(MAX_FACTOR, factor)
+            factor = min(MAX_FACTOR, factor)
             if rejected:
-                factor = _minimum(1.0, factor)
+                factor = min(1.0, factor)
             steps.append((t, t_new, h, y, k))
             t, y, f = t_new, y_new, k[-1]
             rejected = False
@@ -369,12 +390,7 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
     t0, t1, h, y, k = (np.array(v) for v in zip(*steps))
     counts = np.diff(np.searchsorted(t_eval, t1, side="right"), prepend=0)
     at = np.repeat(np.arange(len(steps)), counts)
-    x = (t_eval - t0[at]) / h[at]
-    kd = list(k.T)
-    poly = 0.0
-    for m in reversed(range(P.shape[1])):
-        poly = (poly + _lane_sum(P[:, m], kd)[at]) * x
-    return h[at] * poly + y[at]
+    return _dense_output(t_eval, t0, h, y, list(k.T), at)
 
 
 def transport(exp: SlitExperiment, consts: PhysicalConstants,
@@ -395,8 +411,8 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     arithmetic overflows.  Every lane's first trial step is
     ``first_step``.  The right-hand side is the real psi'/psi form of
     the guidance velocity, so lanes far in the tails propagate like a
-    single packet.  A call with one lane takes ``_transport_lane``, the
-    same steps on Python floats, which gives the same row.
+    single packet.  Each step is ``_step`` on arrays, the step of
+    ``_transport_lane`` on floats, so a lane's row is a single path's.
 
     Returns positions of shape (len(y0), len(t_eval)), filled from each
     lane's dense output; t_eval defaults to the single point t_end.
@@ -407,26 +423,17 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
         raise ConfigError("t_end must be positive and finite")
     t_eval = np.array([t_end]) if t_eval is None \
         else np.asarray(t_eval, dtype=float)
+    # a NaN time is neither >= 0 nor <= t_end
     if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0.0) \
-            or np.any((t_eval < 0.0) | (t_eval > t_end)):
+            or not np.all((t_eval >= 0.0) & (t_eval <= t_end)):
         raise ConfigError("t_eval must be sorted and within [0, t_end]")
     y = np.array(y0, dtype=float)
+    if y.ndim != 1:
+        raise ConfigError("y0 must be a one-dimensional array of launches")
     if not np.all(np.isfinite(y)):
         raise ConfigError("y0 must be finite")
-    out = np.full((len(y), len(t_eval)), np.nan)
-    if len(y) == 1:
-        try:
-            out[0] = _transport_lane(exp, consts, y[0], t_end, tol, t_eval)
-        except NumericalError:
-            pass
-        return out
     rtol, atol = tol, absolute_tolerance(exp, tol)
-
-    def rhs(t, y):
-        return wavefield._velocity_of(
-            exp, consts, wavefield._closed_form_args(exp, consts, y, t))
-
-    exponent = -1.0 / (ERROR_ESTIMATOR_ORDER + 1)
+    out = np.full((len(y), len(t_eval)), np.nan)
     lane = np.arange(len(y))
     t = np.zeros(len(y))
     h_abs = np.full(len(y), first_step(exp, consts, t_end))
@@ -439,7 +446,7 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     # here, whatever the caller's policy: as on the float stepper, a
     # non-finite velocity is a rejected step and its lane fails alone
     with np.errstate(all="ignore"):
-        f = rhs(t, y)
+        f = _rhs(exp, consts, t, y)
         while True:
             # a new step starts at no less than 10 ulp of t; a lane whose
             # rejected step shrank below that (or is NaN), or whose last step
@@ -456,16 +463,12 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
 
             t_new = np.minimum(t + h_abs, t_end)
             h = t_new - t
-            k = [f]
-            for s in range(1, len(C)):
-                k.append(rhs(t + C[s] * h, y + _lane_sum(A[s, :s], k) * h))
-            y_new = y + h * _lane_sum(B, k)
-            k.append(rhs(t_new, y_new))
+            y_new, k = _step(exp, consts, t, y, f, h, t_new)
             nfev += len(C)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = np.abs(_lane_sum(E, k) * h / scale)
+            err = np.abs(_row_sum(_E_ROW, k) * h / scale)
             accept = err < 1.0
-            factor = SAFETY * err ** exponent  # inf at err == 0
+            factor = SAFETY * err ** _EXPONENT  # inf at err == 0
             # a non-finite error norm is a reject at the smallest factor,
             # and a step accepted after a reject may not grow
             factor = np.where(accept, np.minimum(MAX_FACTOR, factor),
@@ -482,14 +485,9 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
                 at = np.repeat(np.arange(dense.size), counts)
                 cols = filled[dense][at] + np.arange(counts.sum()) \
                     - (np.cumsum(counts) - counts)[at]
-                rows = dense[at]
-                x = (t_eval[cols] - t[rows]) / h[rows]
-                # y + h sum_m Q_m x^(m+1) with Q = K^T P, by Horner's rule
-                kd = [kj[dense] for kj in k]
-                poly = 0.0
-                for m in reversed(range(P.shape[1])):
-                    poly = (poly + _lane_sum(P[:, m], kd)[at]) * x
-                out[lane[rows], cols] = h[rows] * poly + y[rows]
+                out[lane[dense[at]], cols] = _dense_output(
+                    t_eval[cols], t[dense], h[dense], y[dense],
+                    [kj[dense] for kj in k], at)
                 filled[dense] = stop[dense]
 
             t = np.where(accept, t_new, t)

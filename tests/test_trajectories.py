@@ -11,7 +11,7 @@ from scipy.integrate import RK45, cumulative_trapezoid, solve_ivp
 from scipy.stats import kstest
 
 from bohm_radiance.cli import main
-from bohm_radiance.errors import ConfigError
+from bohm_radiance.errors import ConfigError, NumericalError
 from bohm_radiance import trajectories as tr
 from bohm_radiance import wavefield as wf
 
@@ -320,10 +320,10 @@ def test_launch_ends_at_its_quantile(exp, paper, y0):
 
 
 def test_transport_lane_independent_of_batch(exp, paper):
-    # a one-lane call takes the float stepper and a batch the array one;
-    # a lane's row is the same in both, on a recording grid too: the wall
-    # crossings, launches where cosh p overflows and one just above the
-    # node floor between the slits
+    # the float stepper of one lane and the array stepper of a batch give
+    # a lane the same row, on a recording grid too, and so does a one-lane
+    # batch: the wall crossings, launches where cosh p overflows and one
+    # just above the node floor between the slits
     t_end = exp.time_of_flight_s
     t_eval = np.linspace(0.0, t_end, 4096)
     y0 = np.concatenate([WALL_CROSSING_LAUNCHES_CM, [3e-4, 1e-3, 1.37e-5],
@@ -331,10 +331,14 @@ def test_transport_lane_independent_of_batch(exp, paper):
     batch = tr.transport(exp, paper, y0, t_end)
     recorded = tr.transport(exp, paper, y0, t_end, t_eval=t_eval)
     for i in (0, 1, 2, 3, 4, 60):
-        alone = tr.transport(exp, paper, y0[i:i + 1], t_end)
-        np.testing.assert_array_equal(alone[0], batch[i])
-        alone = tr.transport(exp, paper, y0[i:i + 1], t_end, t_eval=t_eval)
-        np.testing.assert_array_equal(alone[0], recorded[i])
+        alone = tr._transport_lane(exp, paper, y0[i], t_end, tr.DEFAULT_TOL,
+                                   np.array([t_end]))
+        np.testing.assert_array_equal(alone, batch[i])
+        alone = tr._transport_lane(exp, paper, y0[i], t_end, tr.DEFAULT_TOL,
+                                   t_eval)
+        np.testing.assert_array_equal(alone, recorded[i])
+        one_lane = tr.transport(exp, paper, y0[i:i + 1], t_end, t_eval=t_eval)
+        np.testing.assert_array_equal(one_lane[0], recorded[i])
 
 
 def test_transport_dense_output(exp, paper):
@@ -354,7 +358,8 @@ def test_transport_failed_lane_is_nan_alone(exp, paper, monkeypatch):
     # a lane whose velocity turns NaN fails by itself, without a warning
     # or an exception, and leaves its neighbour's path untouched
     t_end = exp.time_of_flight_s
-    lone = tr.transport(exp, paper, [5e-5], t_end)[:, -1]
+    lone = tr._transport_lane(exp, paper, 5e-5, t_end, tr.DEFAULT_TOL,
+                              np.array([t_end]))
     closed_form_args = wf._closed_form_args
 
     def nan_in_far_tail(exp, consts, y, t):
@@ -496,31 +501,40 @@ def test_cli_path_with_an_overflowing_error_norm(tmp_path, capsys,
 def test_transport_lane_over_its_evaluation_budget(exp, paper, monkeypatch):
     # a lane between widely separated slits stalls on the axis: it fails
     # alone at the single-path budget, and the outer lane keeps its final;
-    # called alone, on the float stepper, its row is NaN too
+    # on the float stepper the stalled lane raises, naming the budget
     wide = dataclasses.replace(exp, slit_half_separation_cm=1e-2)
     t_end = wide.time_of_flight_s / 1000
-    outer = tr.transport(wide, paper, [1.5e-2], t_end)[0, -1]
+    outer = tr._transport_lane(wide, paper, 1.5e-2, t_end, tr.DEFAULT_TOL,
+                               np.array([t_end]))[-1]
     monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
     finals = tr.transport(wide, paper, [4.9e-5, 1.5e-2], t_end)[:, -1]
     assert np.isnan(finals[0])
     assert finals[1] == outer
-    assert np.isnan(tr.transport(wide, paper, [4.9e-5], t_end)).all()
+    with pytest.raises(NumericalError, match="trajectory from y0 = 4.9e-05 "
+                       "cm: 10000 right-hand-side evaluations"):
+        tr._transport_lane(wide, paper, 4.9e-5, t_end, tr.DEFAULT_TOL,
+                           np.array([t_end]))
 
 
 def test_transport_lanes_fail_alone_under_the_run_policy(exp, paper,
                                                         monkeypatch):
     # between slits 1e200 cm apart p = 4 alpha Y y overflows; under a run's
-    # floating-point policy a batch still fails each lane alone, and its
-    # rows are the lanes' one-lane calls, which step on Python floats
+    # floating-point policy a batch still fails each lane alone, and on
+    # Python floats each lane raises at the budget, naming its launch
     wide = dataclasses.replace(exp, slit_half_separation_cm=1e200)
     monkeypatch.setattr(tr, "PATH_RHS_BUDGET", 10_000)
     t_end = wide.time_of_flight_s
     y0 = [4.9e-5, 5e-5]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         batch = tr.transport(wide, paper, y0, t_end)
-        alone = [tr.transport(wide, paper, [y], t_end)[0] for y in y0]
+        for y in y0:
+            with pytest.raises(NumericalError, match=f"trajectory from y0 = "
+                               f"{y!r} cm: 10000 right-hand-side "
+                               "evaluations"):
+                tr._transport_lane(wide, paper, y, t_end, tr.DEFAULT_TOL,
+                                   np.array([t_end]))
+    assert batch.shape == (2, 1)
     assert np.isnan(batch).all()
-    np.testing.assert_array_equal(batch, alone)
 
 
 def test_ensemble_counts_lanes_over_the_budget(exp, paper, monkeypatch):
@@ -654,3 +668,41 @@ def test_ensemble_input_guards(exp, paper):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="y0"):
             tr.transport(exp, paper, [5e-5, bad], 1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_both_steppers_refuse_a_tol_that_is_not_positive_and_finite(
+        exp, paper, tol):
+    # both refuse it before stepping: transport may not return NaN rows,
+    # which would read as failed lanes
+    t_end = exp.time_of_flight_s
+    with pytest.raises(ConfigError, match="tol must be positive and finite"):
+        tr.integrate_trajectory(exp, paper, 5e-5, t_end, tol=tol)
+    with pytest.raises(ConfigError, match="tol must be positive and finite"):
+        tr.transport(exp, paper, [5e-5, -5e-5], t_end, tol=tol)
+
+
+@pytest.mark.parametrize("y0, t_eval, match", [
+    ([5e-5, -5e-5], [0.0, math.nan], "t_eval"),
+    (5e-5, None, "y0"),
+    ([[5e-5], [-5e-5]], None, "y0"),
+], ids=["nan-in-t_eval", "scalar-y0", "2d-y0"])
+def test_transport_refuses_malformed_input(exp, paper, y0, t_eval, match):
+    # a NaN time would give a NaN column, the mark of a failed lane; y0
+    # must be one launch per lane
+    with pytest.raises(ConfigError, match=match):
+        tr.transport(exp, paper, y0, 1e-9, t_eval=t_eval)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_rhs_is_nan_at_a_non_finite_position(exp, paper, y):
+    # the float stepper's min and max take no NaN: where y_new is not
+    # finite the last stage is NaN, and with it the error norm, so the
+    # step is rejected at MIN_FACTOR as on arrays
+    single = single_packet(paper)
+    for t in (0.0, exp.time_of_flight_s):
+        for field in (exp, single):
+            assert math.isnan(tr._rhs(field, paper, t, y))
+            with np.errstate(all="ignore"):
+                assert np.isnan(tr._rhs(field, paper, np.array([t]),
+                                        np.array([y]))).all()
