@@ -19,7 +19,8 @@ by round-off.
 
 In ``transport`` every lane (trajectory) keeps its own time, step size
 and error norm, so a lane crossing a valley wall does not shrink the
-steps of the others.  Both steppers take ``_step`` and its dense output:
+steps of the others.  Both steppers take ``_step`` and, after the loop,
+fill their recording from the accepted steps by ``_dense_output``:
 ``transport`` on arrays, for ensembles, and ``_transport_lane`` on
 Python floats, for a single path, where NumPy's per-call cost on
 one-element arrays would exceed the arithmetic.  So a path equals its
@@ -96,13 +97,13 @@ MAX_FACTOR = 10.0
 # initial-step heuristic (503 / 39 / 4), and 0.45 the fewest
 # (313 / 19 / 0).  The counts are not monotone in the fraction.
 FIRST_STEP_FRACTION = 0.45
-# Samples per block when a recorded path's velocity and field acceleration
-# are evaluated.  Whole 262,144-sample arrays make every temporary of
-# _q_grad_q 2 MB, out of cache: on them it took 51-65 ms, and 32-43 /
-# 24-25 / 23-26 / 23.5 / 40-41 ms in blocks of 2**11 / 2**12 / 2**13 /
-# 2**14 / 2**16 (medians of 11, two tries; 2 cores, Python 3.11.7,
-# NumPy 2.4.6).  Every element sees the same operations, so the bits do
-# not depend on the block size.
+# Points per block when a recording is interpolated, and when a path's
+# velocity and field acceleration are evaluated.  Whole 262,144-sample
+# arrays make every temporary of _q_grad_q 2 MB, out of cache: on them it
+# took 51-65 ms, and 32-43 / 24-25 / 23-26 / 23.5 / 40-41 ms in blocks of
+# 2**11 / 2**12 / 2**13 / 2**14 / 2**16 (medians of 11, two tries; 2
+# cores, Python 3.11.7, NumPy 2.4.6).  Every element sees the same
+# operations, so the bits do not depend on the block size.
 RECORD_BLOCK = 2 ** 14
 
 
@@ -176,8 +177,8 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
     batch, bit for bit, under rtol = ``tol`` and the atol of
     ``absolute_tolerance``.  Any finite nonzero y0 is accepted: the
     velocity comes from psi'/psi, which stays finite where |psi| is below
-    the node floor, as in the tails and between the slits.  The recorded
-    v and a come from the array form of the closed form, block by block.
+    the node floor, as in the tails and between the slits.  v and a come
+    from the array form of the closed form, ``RECORD_BLOCK`` at a time.
     A path that needs more than ``PATH_RHS_BUDGET`` right-hand-side
     evaluations, or whose step collapses, raises NumericalError.
     """
@@ -193,20 +194,13 @@ def integrate_trajectory(exp: SlitExperiment, consts: PhysicalConstants,
                           "a derivative")
     t = np.linspace(0.0, t_end, n_samples)
     y = _transport_lane(exp, consts, y0, t_end, tol, t)
-    v = np.empty_like(y)
-    a_field = np.empty_like(y)
+    v, a_field = np.empty_like(y), np.empty_like(y)
     for start in range(0, len(t), RECORD_BLOCK):
         block = slice(start, start + RECORD_BLOCK)
         v[block], a_field[block] = wavefield._velocity_acceleration(
             exp, consts, y[block], t[block])
-    a_numeric = np.gradient(v, t)
-    return Trajectory(
-        t_s=t,
-        y_cm=y,
-        vy_cm_s=v,
-        ay_field=a_field,
-        ay_numeric=a_numeric,
-    )
+    return Trajectory(t_s=t, y_cm=y, vy_cm_s=v, ay_field=a_field,
+                      ay_numeric=np.gradient(v, t))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +261,10 @@ def ks_statistic_against_density(exp: SlitExperiment,
     return float(max(upper, lower))
 
 
-# The tableau rows of transport, the columns of P among them, as (Python
-# float, stage) pairs without the zero coefficients, and each stage after
-# the first as (node, row of A): a Python float times an array gives the
-# bits of a NumPy one, and times a Python float keeps the float stepper
-# off NumPy's scalars.
+# The tableau rows of both steppers, P's columns among them, as (Python
+# float, stage) pairs without zero coefficients, and each stage after the
+# first as (node, row of A): a Python float times an array gives NumPy's
+# bits, and times a Python float keeps the float stepper off NumPy's scalars.
 _STAGES = [(float(C[s]),
             [(float(c), j) for j, c in enumerate(A[s, :s]) if c != 0.0])
            for s in range(1, len(C))]
@@ -310,17 +303,22 @@ def _step(exp: SlitExperiment, consts: PhysicalConstants, t, y, f, h,
     return y_new, k
 
 
-def _dense_output(t, t0, h, y, k, at):
-    """Positions at the times t, each from the interpolant of step at[i]:
-    the steps start at (t0, y), have length h and stages k, each an array
-    over the steps.  y + h sum_m Q_m x^(m+1) with Q = K^T P and
-    x = (t - t0) / h, by Horner's rule."""
-    h = h[at]
-    x = (t - t0[at]) / h
-    poly = 0.0
-    for row in reversed(_P_ROWS):
-        poly = (poly + _row_sum(row, k)[at]) * x
-    return h * poly + y[at]
+def _dense_output(out, t_eval, row, first, stop, t0, h, y, *k):
+    """Fill out[row[i], first[i]:stop[i]], the t_eval points of the step
+    from (t0[i], y[i]) of length h[i] and stages k[:][i], RECORD_BLOCK
+    points at a time: y + h sum_m Q_m x^(m+1), Q = K^T P, x = (t - t0) / h,
+    elementwise by Horner's rule, so no other step moves a point's bits."""
+    q = [_row_sum(r, k) for r in reversed(_P_ROWS)]
+    end = np.cumsum(stop - first)  # points filled through each step
+    for start in range(0, int(end[-1]), RECORD_BLOCK):
+        point = np.arange(start, min(start + RECORD_BLOCK, end[-1]))
+        at = np.searchsorted(end, point, side="right")
+        col = stop[at] - (end[at] - point)
+        x = (t_eval[col] - t0[at]) / h[at]
+        poly = 0.0
+        for qm in q:
+            poly = (poly + qm[at]) * x
+        out[row[at], col] = h[at] * poly + y[at]
 
 
 def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
@@ -330,12 +328,11 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
 
     Per step, numpy's per-call cost on one-element arrays exceeds the
     arithmetic, so the lane's time, position, stages and step control
-    are Python floats.  The step is ``_step`` and the dense output
-    ``_dense_output``, run once, on arrays, over the accepted steps; the
-    float branch of ``_closed_form_args`` and ``np.power`` are the
-    ufuncs' bits.  So the row equals the lane's row in any batch, bit for
-    bit.  Where transport would fail the lane, this raises NumericalError
-    naming the launch.
+    are Python floats; the float branch of ``_closed_form_args`` and
+    ``np.power`` give the ufuncs' bits.  The step is ``_step``, and after
+    the loop ``_dense_output`` fills the row from the accepted steps, so
+    it equals the lane's row in any batch, bit for bit.  Where transport
+    would fail the lane, this raises NumericalError naming the launch.
     """
     # a NumPy scalar among them would send the field to its array branch
     y0, t_end, rtol = float(y0), float(t_end), float(tol)
@@ -385,12 +382,13 @@ def _transport_lane(exp: SlitExperiment, consts: PhysicalConstants,
             rejected = True
         h_abs = h * factor
 
-    # t_eval points in (t, t_new] of each step from its interpolant, as
-    # transport takes them
+    # each step fills the t_eval points in (t, t_new], as in transport
     t0, t1, h, y, k = (np.array(v) for v in zip(*steps))
-    counts = np.diff(np.searchsorted(t_eval, t1, side="right"), prepend=0)
-    at = np.repeat(np.arange(len(steps)), counts)
-    return _dense_output(t_eval, t0, h, y, list(k.T), at)
+    stop = np.searchsorted(t_eval, t1, side="right")
+    out = np.empty((1, len(t_eval)))
+    _dense_output(out, t_eval, np.zeros_like(stop),
+                  np.concatenate([[0], stop[:-1]]), stop, t0, h, y, *k.T)
+    return out[0]
 
 
 def transport(exp: SlitExperiment, consts: PhysicalConstants,
@@ -400,24 +398,22 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
 
     A vectorized Dormand-Prince 5(4) stepper (Hairer, Norsett & Wanner,
     Solving ODEs I, sec. II.4) gives every lane its own time, step and
-    error norm, under the module's tableau (``A``, ``B``, ``C``, ``E``,
-    ``P``; a test pins it to scipy's RK45) and scipy's step-size
-    controller, so rtol = ``tol`` and the atol of ``absolute_tolerance``
-    mean what they mean for one path.  A lane that reaches t_end leaves
-    the active set.  A lane whose step falls below 10 ulp of its time, or
-    whose right-hand-side evaluations pass ``PATH_RHS_BUDGET`` (counted as
-    scipy counts them with a given first step: 1 to start, ``len(C)`` per
-    attempted step), fails alone: its row is NaN, also where its
-    arithmetic overflows.  Every lane's first trial step is
-    ``first_step``.  The right-hand side is the real psi'/psi form of
-    the guidance velocity, so lanes far in the tails propagate like a
-    single packet.  Each step is ``_step`` on arrays, the step of
-    ``_transport_lane`` on floats, so a lane's row is a single path's.
+    error norm under the module's tableau (a test pins it to scipy's
+    RK45) and scipy's step-size controller, so rtol = ``tol`` and the
+    atol of ``absolute_tolerance`` mean what they mean for one path.
+    Each lane starts from ``first_step`` and steps by ``_step`` on arrays,
+    the step of ``_transport_lane`` on floats; the right-hand side is the
+    real psi'/psi form, so far-tail lanes move like a single packet.  A
+    lane whose step falls below 10 ulp of its time, or whose
+    right-hand-side evaluations pass ``PATH_RHS_BUDGET`` (1 to start and
+    ``len(C)`` per attempted step, as scipy counts them with a given
+    first step), fails alone, also where its arithmetic overflows.
 
-    Returns positions of shape (len(y0), len(t_eval)), filled from each
-    lane's dense output; t_eval defaults to the single point t_end.
-    Order follows y0, and a lane's row does not depend on the other
-    lanes, so results replay bitwise.
+    Returns positions of shape (len(y0), len(t_eval)); t_eval defaults
+    to the single point t_end.  After the loop ``_dense_output`` fills
+    each row from its lane's accepted steps, and a failed lane's row is
+    set NaN.  Order follows y0, and a lane's row is a single path's,
+    whatever the other lanes, so results replay bitwise.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ConfigError("t_end must be positive and finite")
@@ -427,8 +423,11 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0.0) \
             or not np.all((t_eval >= 0.0) & (t_eval <= t_end)):
         raise ConfigError("t_eval must be sorted and within [0, t_end]")
-    y = np.array(y0, dtype=float)
-    if y.ndim != 1:
+    try:  # a ragged y0 raises here, a scalar or 2-D one below
+        y = np.array(y0, dtype=float)
+    except ValueError:
+        y = None
+    if y is None or y.ndim != 1:
         raise ConfigError("y0 must be a one-dimensional array of launches")
     if not np.all(np.isfinite(y)):
         raise ConfigError("y0 must be finite")
@@ -437,11 +436,12 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
     lane = np.arange(len(y))
     t = np.zeros(len(y))
     h_abs = np.full(len(y), first_step(exp, consts, t_end))
-    rejected = np.zeros(len(y), dtype=bool)
+    rejected, failed = np.zeros((2, len(y)), dtype=bool)
     filled = np.zeros(len(y), dtype=int)  # next t_eval index per lane
     # every lane still running attempts one step per pass, so the lanes
     # share one count: f, then len(C) a step
     nfev = 1
+    steps = []  # (row, first, stop, t, h, y, *k) of steps that fill columns
     # Python's float arithmetic raises no flag, and neither does the lanes'
     # here, whatever the caller's policy: as on the float stepper, a
     # non-finite velocity is a rejected step and its lane fails alone
@@ -454,12 +454,12 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
             min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
             h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
             alive = (h_abs >= min_step) & (nfev <= PATH_RHS_BUDGET)
-            out[lane[~alive]] = np.nan
+            failed[lane] = ~alive
             running = alive & (t < t_end)
             lane, t, y, f, h_abs, rejected, filled = (
                 v[running] for v in (lane, t, y, f, h_abs, rejected, filled))
             if not lane.size:
-                return out
+                break
 
             t_new = np.minimum(t + h_abs, t_end)
             h = t_new - t
@@ -477,23 +477,23 @@ def transport(exp: SlitExperiment, consts: PhysicalConstants,
                               factor)
             h_abs = h * factor
 
-            # t_eval points in (t, t_new] from this step's interpolant
+            # an accepted step fills the t_eval points in (t, t_new]
             stop = np.searchsorted(t_eval, t_new, side="right")
             dense = np.flatnonzero(accept & (stop > filled))
             if dense.size:
-                counts = stop[dense] - filled[dense]
-                at = np.repeat(np.arange(dense.size), counts)
-                cols = filled[dense][at] + np.arange(counts.sum()) \
-                    - (np.cumsum(counts) - counts)[at]
-                out[lane[dense[at]], cols] = _dense_output(
-                    t_eval[cols], t[dense], h[dense], y[dense],
-                    [kj[dense] for kj in k], at)
+                steps.append([v[dense] for v in
+                              (lane, filled, stop, t, h, y, *k)])
                 filled[dense] = stop[dense]
 
             t = np.where(accept, t_new, t)
             y = np.where(accept, y_new, y)
             f = np.where(accept, k[-1], f)
             rejected = ~accept
+
+        if steps:
+            _dense_output(out, t_eval, *map(np.concatenate, zip(*steps)))
+        out[failed] = np.nan
+    return out
 
 
 def run_ensemble(exp: SlitExperiment, consts: PhysicalConstants,

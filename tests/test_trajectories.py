@@ -354,25 +354,40 @@ def test_transport_dense_output(exp, paper):
         tr.transport(exp, paper, y0, t_end, t_eval=[0.0, 2.0 * t_end])
 
 
-def test_transport_failed_lane_is_nan_alone(exp, paper, monkeypatch):
+@pytest.mark.parametrize("far, n_eval", [(1e-2, 1), (3e-4, 257)],
+                         ids=["nan-at-launch", "nan-mid-flight"])
+def test_transport_failed_lane_is_nan_alone(exp, paper, monkeypatch, far,
+                                            n_eval):
     # a lane whose velocity turns NaN fails by itself, without a warning
-    # or an exception, and leaves its neighbour's path untouched
+    # or an exception, and leaves its neighbour's path untouched; launched
+    # at 3e-4 cm it crosses 1e-3 cm mid-flight, after its steps have
+    # filled columns of the recording, and its whole row is still NaN
     t_end = exp.time_of_flight_s
+    t_eval = np.linspace(0.0, t_end, n_eval) if n_eval > 1 \
+        else np.array([t_end])
     lone = tr._transport_lane(exp, paper, 5e-5, t_end, tr.DEFAULT_TOL,
-                              np.array([t_end]))
+                              t_eval)
     closed_form_args = wf._closed_form_args
+    dense_output = tr._dense_output
+    filled_rows = set()
 
     def nan_in_far_tail(exp, consts, y, t):
         return closed_form_args(exp, consts,
                                 np.where(np.abs(y) > 1e-3, np.nan, y), t)
 
+    def recording(out, t_eval, row, *steps):
+        filled_rows.update(row.tolist())
+        dense_output(out, t_eval, row, *steps)
+
     monkeypatch.setattr(wf, "_closed_form_args", nan_in_far_tail)
+    monkeypatch.setattr(tr, "_dense_output", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        finals = tr.transport(exp, paper, [5e-5, 1e-2], t_end)[:, -1]
-    assert np.isnan(finals[1])
-    assert np.isfinite(finals[0])
-    np.testing.assert_array_equal(finals[:1], lone)
+        rows = tr.transport(exp, paper, [5e-5, far], t_end, t_eval=t_eval)
+    assert filled_rows == ({0, 1} if n_eval > 1 else {0})
+    assert np.isnan(rows[1]).all()
+    assert np.isfinite(rows[0]).all()
+    np.testing.assert_array_equal(rows[0], lone)
 
 
 def test_transport_far_tail_lanes_follow_single_packet(exp, paper):
@@ -574,6 +589,27 @@ def test_recording_blocks_keep_the_bits(exp, paper):
     np.testing.assert_array_equal(a_fused, a)
 
 
+@pytest.mark.parametrize("n_samples", [4096, 1001])
+def test_record_block_size_keeps_the_bits(exp, paper, monkeypatch, n_samples):
+    # a recording is interpolated, and its v and a evaluated, RECORD_BLOCK
+    # points at a time: blocks of 37, which divide neither sample count,
+    # give a path's five arrays and a batch's rows bit for bit
+    t_end = exp.time_of_flight_s
+    y0 = [4.9e-5, *WALL_CROSSING_LAUNCHES_CM, -3e-4]
+
+    def record():
+        path = tr.integrate_trajectory(exp, paper, y0[0], t_end,
+                                       n_samples=n_samples)
+        rows = tr.transport(exp, paper, y0, t_end, t_eval=path.t_s)
+        return [path.t_s, path.y_cm, path.vy_cm_s, path.ay_field,
+                path.ay_numeric, rows]
+
+    whole = record()
+    monkeypatch.setattr(tr, "RECORD_BLOCK", 37)
+    for blocked, expected in zip(record(), whole):
+        np.testing.assert_array_equal(blocked, expected)
+
+
 @pytest.mark.parametrize("y0", [4.9e-5, -4.9e-5, 1.37e-5,
                                 *WALL_CROSSING_LAUNCHES_CM, 3e-4])
 def test_paths_match_the_array_rhs_bitwise(exp, paper, y0):
@@ -686,7 +722,8 @@ def test_both_steppers_refuse_a_tol_that_is_not_positive_and_finite(
     ([5e-5, -5e-5], [0.0, math.nan], "t_eval"),
     (5e-5, None, "y0"),
     ([[5e-5], [-5e-5]], None, "y0"),
-], ids=["nan-in-t_eval", "scalar-y0", "2d-y0"])
+    ([[1e-5], [2e-5, 3e-5]], None, "y0"),
+], ids=["nan-in-t_eval", "scalar-y0", "2d-y0", "ragged-y0"])
 def test_transport_refuses_malformed_input(exp, paper, y0, t_eval, match):
     # a NaN time would give a NaN column, the mark of a failed lane; y0
     # must be one launch per lane
