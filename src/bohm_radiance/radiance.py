@@ -172,10 +172,6 @@ class SpectrumStep:
     photon_energy_j: float
     photon_frequency_hz: float
 
-    def intensity(self, omega_hz: float) -> float:
-        """Step spectrum: I(0) below the cutoff, zero at and above it."""
-        return self.i0_ev_per_hz if omega_hz < self.omega_c_hz else 0.0
-
 
 def spectrum_step(consts: PhysicalConstants, vi: ValleyInput) -> SpectrumStep:
     """Full per-valley emission characteristics from a ValleyInput."""
@@ -282,19 +278,18 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
     """Energy radiated along a trajectory, in J.
 
     Integrates P(t) = (4/3)(alpha hbar/c^2) a(t)^2 over the recorded
-    samples by the trapezoid rule, and splits the integral into
-    per-valley partial sums keyed by the valley band of the instantaneous
-    position: in the scaled fringe coordinate eta = |y| xi(t) / pi the
-    k-th trough sits at eta = 2k - 1 between crests at 2k - 2 and 2k, so
-    band k covers eta in [2k-2, 2k); before fringes develop (xi -> 0)
-    everything maps to band 1.
+    samples by the trapezoid rule, in per-valley partial sums keyed by the
+    valley band of the instantaneous position: in the scaled fringe
+    coordinate eta = |y| xi(t) / pi the k-th trough sits at eta = 2k - 1
+    between crests at 2k - 2 and 2k, so band k covers eta in [2k-2, 2k);
+    before fringes develop (xi -> 0) everything maps to band 1.  The
+    total is the sum of the bands.
     """
     a = traj.ay_field
     if not np.all(np.isfinite(a)):
         raise NumericalError(
             "trajectory carries non-finite acceleration samples")
     p_ev_s = consts.larmor_prefactor * a * a
-    total = np.trapezoid(p_ev_s, traj.t_s) * consts.electron_charge_c
     xi = interference_wavenumber(exp, consts, traj.t_s)
     eta = np.abs(traj.y_cm) * xi / math.pi
     k = np.floor(eta / 2.0).astype(int) + 1
@@ -305,7 +300,8 @@ def trajectory_radiated_energy(consts: PhysicalConstants, traj: Trajectory,
         * consts.electron_charge_c
     per_valley = {int(kk): float(band_j[kk])
                   for kk in np.flatnonzero(np.bincount(k))}
-    return RadiatedEnergy(total_j=float(total), per_valley_j=per_valley)
+    return RadiatedEnergy(total_j=sum(per_valley.values()),
+                          per_valley_j=per_valley)
 
 
 # ---------------------------------------------------------------------------

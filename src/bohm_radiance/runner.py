@@ -153,13 +153,13 @@ def _steps(cfg: RunConfig):
 
 def _cmd_quantum_potential(cfg: RunConfig, em: _Emitter) -> None:
     scan = _scan(cfg)
-    # the one output that writes S; s is already NaN on singular rows
-    r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
+    # the one output that writes S
+    r, s = _polar(cfg.consts, scan.psi)
     em.write_csv("quantum_potential.csv", {
         "y_cm": scan.y,
         "t_s": [str(scan.t_s)] * scan.y.size,
         "R": r,
-        "S_eVs": s,
+        "S_eVs": np.where(scan.singular, np.nan, s),
         "Q_eV": np.where(scan.singular, np.nan, scan.q),
         "gradQ_eV_per_cm": np.where(scan.singular, np.nan, scan.grad_q),
         "flag": np.where(scan.singular, "singular", "ok").tolist(),

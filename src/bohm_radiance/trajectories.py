@@ -111,11 +111,12 @@ def absolute_tolerance(exp: SlitExperiment, tol: float) -> float:
     """The atol of both integrators for rtol = ``tol``: tol packet widths.
 
     It does not depend on the launch, so a single path and its lane in
-    ``transport`` are held to the same error contract.  A tol that is not
-    positive and finite raises ConfigError.
+    ``transport`` are held to the same error contract.  A tol outside
+    (0, 1) raises ConfigError: an rtol of 1 or more accepts an error as
+    large as the position, so it bounds nothing.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError("tol must be positive and finite")
+    if not 0.0 < tol < 1.0:
+        raise ConfigError("tol must be positive and finite, and below 1")
     return tol * exp.packet_width_cm
 
 

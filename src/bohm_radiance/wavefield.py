@@ -13,8 +13,8 @@ so the spread width is sigma_t = sigma0 sqrt(1 + b^2).  The longitudinal
 motion is classical: x = v_x t, which maps a section at distance x from the
 slit plane onto an evaluation time t = x / v_x.
 
-From psi we expose the polar decomposition psi = R exp(iS/hbar), the
-quantum potential
+From psi follow the polar decomposition psi = R exp(iS/hbar), which only
+``quantum-potential`` writes, the quantum potential
 
     Q = -(hbar^2 / 2m) (d^2 R / dy^2) / R
 
@@ -53,8 +53,8 @@ arithmetic, with cosh, sin, cos and tanh from the same NumPy ufuncs, so
 its bits are those of a one-element array (a test pins this).
 
 Samples where R falls below a floor (1e-12 of the packet peak scale at
-that t) carry no meaningful phase: S is returned as NaN there, a scan
-flags them singular, and valley detection skips them.
+that t) carry no meaningful phase: a scan flags them singular, valley
+detection skips them, and ``quantum-potential`` writes S as NaN there.
 
 A cross-section scan samples a grid exactly symmetric about y = 0.  The
 setup is mirror symmetric, so Q is even in y and grad Q odd: the scan
@@ -76,8 +76,9 @@ import numpy as np
 from .errors import ConfigError
 from .units import PhysicalConstants
 
-# Fraction of the peak amplitude scale below which the phase S of a sample
-# is masked (Q and grad Q need no mask).
+# Fraction of the peak amplitude scale at or below which a scan flags a
+# sample singular, where its phase S carries no meaning (Q and grad Q
+# need no mask).
 R_FLOOR_FRACTION = 1.0e-12
 
 # Ratio kinetic energy / rest energy above which the non-relativistic
@@ -207,17 +208,6 @@ def interference_wavenumber(exp: SlitExperiment, consts: PhysicalConstants,
             / (exp.packet_width_cm**2 * (1.0 + b * b)))
 
 
-def field_scale(exp: SlitExperiment, consts: PhysicalConstants,
-                t: float) -> float:
-    """Shortest length scale of field structure at time t, in cm.
-
-    min(sigma_t, 1/xi); used to pick finite-difference steps.
-    """
-    xi = interference_wavenumber(exp, consts, t)
-    s = sigma_t(exp, consts, t)
-    return min(s, 1.0 / xi) if xi > 0.0 else s
-
-
 def de_broglie_wavelength(exp: SlitExperiment,
                           consts: PhysicalConstants) -> float:
     """lambda = h/p = 2 pi hbar / (m v_x), in cm."""
@@ -241,7 +231,7 @@ def peak_amplitude_scale(exp: SlitExperiment, consts: PhysicalConstants, t):
 
 
 def r_floor(exp: SlitExperiment, consts: PhysicalConstants, t):
-    """Amplitude at or below which S is masked and a scan row is singular."""
+    """Amplitude at or below which a scan flags a sample singular."""
     return R_FLOOR_FRACTION * peak_amplitude_scale(exp, consts, t)
 
 
@@ -285,29 +275,12 @@ def psi(exp: SlitExperiment, consts: PhysicalConstants, y, t: float):
     return p
 
 
-def _polar(exp: SlitExperiment, consts: PhysicalConstants, p, t):
-    """(R, S) of psi samples p at time t; S = NaN below the floor."""
-    r = np.abs(p)
-    phase = np.angle(p)
-    if phase.ndim > 0:
-        phase = np.unwrap(phase)
-    s = consts.hbar_ev_s * phase
-    return r, np.where(r > r_floor(exp, consts, t), s, np.nan)
-
-
-def amplitude_phase(exp: SlitExperiment, consts: PhysicalConstants,
-                    y, t: float):
-    """Polar decomposition (R, S) with S = hbar arg(psi) in eV s.
-
-    For array y the phase is unwrapped along the array so dS/dy is well
-    defined between nodes; for scalar y the principal value is returned.
-    Samples with R below the floor get S = NaN.
-    """
-    (p,) = _psi_derivs(exp, consts, y, t)
-    r, s = _polar(exp, consts, p, t)
-    if np.ndim(y) == 0:
-        return float(r), float(s)
-    return r, s
+def _polar(consts: PhysicalConstants, p):
+    """Polar form (R, S) of an array p of psi samples: R = |psi| and
+    S = hbar arg(psi) in eV s, unwrapped along the array so that dS/dy is
+    defined between nodes.  S is not masked; where the scan flags a
+    sample singular it carries no meaning."""
+    return np.abs(p), consts.hbar_ev_s * np.unwrap(np.angle(p))
 
 
 def _closed_form_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
@@ -465,7 +438,8 @@ class ScanResult:
     """Arrays sampled along y at fixed t, plus detected valleys.
 
     ``psi`` is the complex amplitude; R and S follow from it by
-    ``_polar``, which only the one output that writes S runs.  ``q`` and
+    ``_polar``, which only the one output that writes S runs, and that
+    output masks S, Q and grad Q where ``singular`` is set.  ``q`` and
     ``grad_q`` are evaluated on the y >= 0 half of the symmetric grid and
     mirrored: Q is even in y and grad Q odd, and the mirror equals a
     full-grid evaluation bit for bit as long as sin, tanh are odd and cos,
@@ -478,7 +452,7 @@ class ScanResult:
     psi: np.ndarray
     q: np.ndarray
     grad_q: np.ndarray
-    singular: np.ndarray          # bool mask, True where R is below the floor
+    singular: np.ndarray          # True where R is at or below the floor
     valleys: list[Valley] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -511,6 +485,9 @@ def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
     """
     if n_samples < 100:
         raise ConfigError("n_samples must be >= 100")
+    if n_samples % 2 == 0:
+        raise ConfigError(
+            "n_samples must be odd: the grid is symmetric about y = 0")
     t = exp.section_time_s(x_cm)
     y = symmetric_grid(y_half_range_cm, n_samples)
     p = _psi_derivs(exp, consts, y, t)[0]

@@ -17,7 +17,9 @@ and with A = R^2 = |psi|^2
 below 1e-12 of the packet peak scale 2|N|, where the amplitude nears
 underflow; ``mp_q_grad_q`` evaluates the same formulas in 50-digit mpmath
 arithmetic, which needs no floor.  Both share only the experiment's
-parameters and the physical constants with the package.
+parameters and the physical constants with the package.  ``field_scale``,
+the shortest length scale of the field, sets the steps of the
+finite-difference oracles.
 """
 
 import math
@@ -63,6 +65,18 @@ def r_floor(exp, consts, t):
     """1e-12 of the packet peak scale 2 |N(t)|."""
     _, n = _width_and_prefactor(exp, consts, t)
     return R_FLOOR_FRACTION * 2.0 * np.abs(n)
+
+
+def field_scale(exp, consts, t):
+    """Shortest length scale of the field at time t, in cm, which sets the
+    finite-difference steps: min(sigma_t, 1/xi), with the spread width
+    sigma_t = sigma0 sqrt(1 + b^2) and the fringe wavenumber
+    xi = Y b / (sigma0^2 (1 + b^2))."""
+    s0 = exp.packet_width_cm
+    b = consts.hbar_ev_s * t / (2.0 * consts.electron_mass * s0**2)
+    xi = exp.slit_half_separation_cm * b / (s0**2 * (1.0 + b * b))
+    s = s0 * np.hypot(1.0, b)
+    return min(s, 1.0 / xi) if xi > 0.0 else s
 
 
 def q_grad_q(exp, consts, y, t):

@@ -24,6 +24,8 @@ from bohm_radiance.presets import (
 )
 from bohm_radiance.runner import run
 
+import reference_kernel as ref
+
 # Valley-2 wall width consistent with tau_2 (one-sided traversal).
 VALLEY2_WALL_WIDTH_CM = 1.0e-4 / 7.0
 
@@ -125,7 +127,7 @@ def test_field_correctness(exp, paper, masked_samples):
     # 1e4 amplitude-masked samples
     y, t = masked_samples
     g_an = wf.grad_quantum_potential(exp, paper, y, t)
-    h = 2.0e-3 * wf.field_scale(exp, paper, t)
+    h = 2.0e-3 * ref.field_scale(exp, paper, t)
 
     def fd4(step):
         return (8.0 * (wf.quantum_potential(exp, paper, y + step, t)

@@ -249,7 +249,7 @@ def test_quantum_potential_csv_round_trip(tmp_path):
     scan = cross_section_scan(cfg.experiment, cfg.consts, 2.0, **cfg.scan)
     singular = scan.singular
     assert singular.any() and not singular.all()
-    r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
+    r, s = _polar(cfg.consts, scan.psi)
     _, rows = read_csv(cfg.output_dir / "quantum_potential.csv")
     cols = list(zip(*rows))
     np.testing.assert_array_equal(parsed(cols[0]), bits(scan.y))
@@ -312,12 +312,12 @@ def test_trajectory_csv_round_trip(tmp_path, quick_overrides):
 
 def reference_quantum_potential_csv(cfg, scan) -> str:
     """quantum_potential.csv built row by row, str of each cell."""
-    r, s = _polar(cfg.experiment, cfg.consts, scan.psi, scan.t_s)
-    q, grad_q = (np.where(scan.singular, np.nan, a).tolist()
-                 for a in (scan.q, scan.grad_q))
+    r, s = _polar(cfg.consts, scan.psi)
+    s, q, grad_q = (np.where(scan.singular, np.nan, a).tolist()
+                    for a in (s, scan.q, scan.grad_q))
     flags = np.where(scan.singular, "singular", "ok").tolist()
     rows = zip(scan.y.tolist(), repeat(scan.t_s), r.tolist(),
-               s.tolist(), q, grad_q, flags)
+               s, q, grad_q, flags)
     lines = ["y_cm,t_s,R,S_eVs,Q_eV,gradQ_eV_per_cm,flag"]
     lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
@@ -775,6 +775,25 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, payload,
     err = capsys.readouterr().err
     assert "config error" in err and path in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub, payload, path", [
+    ("simulate-trajectories",
+     {"trajectories": {"tol": 1.0}, "ensemble": {"n": 100}},
+     "$.trajectories.tol"),
+    ("quantum-potential", {"scan": {"n_samples": 1000}}, "$.scan.n_samples"),
+], ids=["tol-of-one", "even-scan-samples"])
+def test_cli_refuses_a_setting_out_of_its_bounds(tmp_path, capsys, sub,
+                                                 payload, path):
+    # an rtol of 1 bounds no error, and an even scan count would give one
+    # row more than asked for
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(write_config(tmp_path, payload)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and path in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_refuses_an_end_time_past_the_screen(tmp_path, capsys):

@@ -141,7 +141,6 @@ def test_spectrum_step_degenerate(paper):
         grad_q_ev_per_cm=0.0, tau_s=1e-10))
     assert step.power_w == 0.0
     assert step.i0_ev_per_hz == 0.0
-    assert step.intensity(1.0) == 0.0
 
 
 def test_spectrum_step_invariants(paper):
@@ -159,9 +158,6 @@ def test_spectrum_step_invariants(paper):
         # nonnegativity, zero only under zero acceleration
         assert step.power_w > 0 and step.i0_ev_per_hz > 0
         assert step.photon_energy_j > 0
-        # step shape
-        assert step.intensity(0.5 * step.omega_c_hz) == step.i0_ev_per_hz
-        assert step.intensity(step.omega_c_hz) == 0.0
         # soft-photon condition: photon frequency far below the cutoff
         assert step.photon_frequency_hz * step.tau_s < 1e-10
 
@@ -288,8 +284,7 @@ def test_radiated_energy_valley_partition_sums_to_total(exp, paper):
                                    exp.time_of_flight_s, n_samples=4096)
     out = rad.trajectory_radiated_energy(paper, traj, exp)
     assert out.per_valley_j
-    assert sum(out.per_valley_j.values()) == pytest.approx(out.total_j,
-                                                           rel=1e-9, abs=0.0)
+    assert sum(out.per_valley_j.values()) == out.total_j
     assert all(k >= 1 for k in out.per_valley_j)
 
 

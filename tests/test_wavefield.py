@@ -109,7 +109,7 @@ def test_r_squared_matches_components(exp, paper):
     y = np.linspace(-5e-4, 5e-4, 501)
     t = exp.section_time_s(18.0)
     p = wf.psi(exp, paper, y, t)
-    r, _ = wf.amplitude_phase(exp, paper, y, t)
+    r, _ = wf._polar(paper, p)
     np.testing.assert_allclose(r * r, p.real**2 + p.imag**2, rtol=1e-10)
 
 
@@ -140,7 +140,7 @@ def test_single_packet_phase_closed_form(paper):
     b = wf.spreading_parameter(exp1, paper, t)
     s0 = exp1.packet_width_cm
     y = np.linspace(-2e-4, 2e-4, 2001)
-    _, s = wf.amplitude_phase(exp1, paper, y, t)
+    _, s = wf._polar(paper, wf.psi(exp1, paper, y, t))
     expected = paper.hbar_ev_s * (
         y * y * b / (4.0 * s0**2 * (1.0 + b * b)) - 0.5 * math.atan(b))
     mid = len(y) // 2
@@ -156,8 +156,8 @@ def test_single_packet_phase_closed_form(paper):
 def test_phase_gradient_zero_on_axis(exp, paper):
     t = exp.section_time_s(18.0)
     h = 1e-9
-    _, s_plus = wf.amplitude_phase(exp, paper, h, t)
-    _, s_minus = wf.amplitude_phase(exp, paper, -h, t)
+    _, (s_plus,) = wf._polar(paper, wf.psi(exp, paper, np.array([h]), t))
+    _, (s_minus,) = wf._polar(paper, wf.psi(exp, paper, np.array([-h]), t))
     assert abs(s_plus - s_minus) / (2 * h) < 1e-10 * paper.hbar_ev_s
 
 
@@ -165,17 +165,18 @@ def test_unwrap_consistency(exp, paper):
     # between nodes, successive unwrapped phase samples differ by < pi hbar
     t = exp.section_time_s(18.0)
     y = np.linspace(-6e-4, 6e-4, 20001)
-    r, s = wf.amplitude_phase(exp, paper, y, t)
-    good = np.isfinite(s)
+    r, s = wf._polar(paper, wf.psi(exp, paper, y, t))
+    good = r > wf.r_floor(exp, paper, t)
     steps = np.abs(np.diff(s[good]))
     assert np.max(steps) < math.pi * paper.hbar_ev_s
 
 
 def test_phase_flagged_at_node_mask(exp, paper):
-    # the inter-slit dead zone at t = 0 sits far below the amplitude floor
-    r, s = wf.amplitude_phase(exp, paper, 0.0, 0.0)
+    # the inter-slit dead zone at t = 0 sits far below the amplitude floor;
+    # quantum-potential writes S as nan on such rows, which
+    # test_quantum_potential_csv_round_trip checks
+    (r,), _ = wf._polar(paper, wf.psi(exp, paper, np.array([0.0]), 0.0))
     assert r < wf.r_floor(exp, paper, 0.0)
-    assert math.isnan(s)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def test_q_finite_above_floor(exp, paper):
     # are flagged singular
     scan = wf.cross_section_scan(exp, paper, 2.0, 8e-4, n_samples=16385)
     assert np.isfinite(scan.q).all() and np.isfinite(scan.grad_q).all()
-    r, _ = wf._polar(exp, paper, scan.psi, scan.t_s)
+    r, _ = wf._polar(paper, scan.psi)
     above = r > wf.r_floor(exp, paper, scan.t_s)
     assert np.array_equal(scan.singular, ~above)
     assert scan.singular.any() and not scan.singular.all()
@@ -351,7 +352,7 @@ def test_grad_analytic_vs_finite_difference(exp, paper, masked_samples):
     y, t = masked_samples
     y = y[:2000]
     g_an = wf.grad_quantum_potential(exp, paper, y, t)
-    h = 2.0e-3 * wf.field_scale(exp, paper, t)
+    h = 2.0e-3 * ref.field_scale(exp, paper, t)
     g_fd = richardson_gradient(exp, paper, y, t, h)
     np.testing.assert_allclose(g_fd, g_an, rtol=1e-6)
 
@@ -373,7 +374,7 @@ def test_laplacian_consistency(exp, paper, masked_samples):
         return (-r_of(y + 2 * h) + 16.0 * r_of(y + h) - 30.0 * r_of(y)
                 + 16.0 * r_of(y - h) - r_of(y - 2 * h)) / (12.0 * h * h)
 
-    h0 = 1e-3 * wf.field_scale(exp, paper, t)
+    h0 = 1e-3 * ref.field_scale(exp, paper, t)
     coarse, fine = lap4(8.0 * h0), lap4(2.0 * h0)
     rich = fine + (fine - coarse) / 255.0
     keep = np.abs(lap_an) > 1e-3 * np.max(np.abs(lap_an))
@@ -387,6 +388,15 @@ def test_laplacian_consistency(exp, paper, masked_samples):
 def test_scan_requires_minimum_samples(exp, paper):
     with pytest.raises(ConfigError):
         wf.cross_section_scan(exp, paper, 18.0, 8e-4, n_samples=50)
+
+
+@pytest.mark.parametrize("n_samples, match", [
+    (50, ">= 100"), (1000, "odd"), (16384, "odd")])
+def test_scan_requires_an_odd_sample_count(exp, paper, n_samples, match):
+    # the symmetric grid has 2 (n // 2) + 1 points, so an even count would
+    # silently give one row more than asked for
+    with pytest.raises(ConfigError, match=match):
+        wf.cross_section_scan(exp, paper, 18.0, 8e-4, n_samples=n_samples)
 
 
 def test_scan_valleys_mirror_pair(scan18):
@@ -509,8 +519,8 @@ def test_valleys_match_list_scan_oracle(exp, paper, half_range):
 
 def test_scan_channels_match_public_functions(exp, paper, scan18):
     y, t = scan18.y, scan18.t_s
-    r, s = wf.amplitude_phase(exp, paper, y, t)
-    scan_r, scan_s = wf._polar(exp, paper, scan18.psi, t)
+    r, s = wf._polar(paper, wf.psi(exp, paper, y, t))
+    scan_r, scan_s = wf._polar(paper, scan18.psi)
     assert np.array_equal(scan_r, r, equal_nan=True)
     assert np.array_equal(scan_s, s, equal_nan=True)
     assert np.array_equal(scan18.q, wf.quantum_potential(exp, paper, y, t),
