@@ -16,9 +16,13 @@ are the same.  The manifests are compared as parsed JSON, less the
 creation time and each file's checksum and size (the data files are
 compared themselves); the keys that differ are printed.
 
+It then prints the line count of each tree's ``bohm_radiance/*.py``, as
+``src lines: OLD -> NEW``, the other half of a refactor's result.
+
 It exits 1 when a data file differs in anything but numbers (text, flags,
 ``nan`` cells, structure), when a manifest differs, when a file exists in
-one tree only, or when a run fails in one tree and not the other.
+one tree only, or when a run fails in one tree and not the other; the
+line counts do not change the exit status.
 """
 
 from __future__ import annotations
@@ -195,6 +199,13 @@ def manifest_differences(old: dict, new: dict) -> list[str]:
             if key not in a or key not in b or a[key] != b[key]]
 
 
+def source_lines(src: Path) -> int:
+    """Lines of the package's modules under src, as
+    ``cat bohm_radiance/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "bohm_radiance").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python scripts/output_drift.py OLD_SRC NEW_SRC",
@@ -243,6 +254,8 @@ def main(argv: list[str]) -> int:
         print(f"{identical} of {len(names) - manifests} data files "
               "byte-identical")
         print(f"{agree} of {manifests} manifests agree")
+    old_lines, new_lines = (source_lines(src) for src in trees)
+    print(f"src lines: {old_lines} -> {new_lines}")
     return 1 if failed else 0
 
 

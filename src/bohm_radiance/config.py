@@ -149,8 +149,13 @@ def load_config(path: str | Path | None = None,
     errors = sorted(validator.iter_errors(merged), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
+        message = first.message
+        # jsonschema words a failed "not" by its subschema, not the rule
+        if first.validator == "not" and "description" in first.schema:
+            message = (f"{first.instance!r} is not "
+                       f"{first.schema['description']}")
         raise ConfigError(
-            f"config violates schema at {first.json_path}: {first.message}")
+            f"config violates schema at {first.json_path}: {message}")
 
     consts = constants(merged["constants"])
     try:

@@ -99,7 +99,7 @@ MAX_FACTOR = 10.0
 FIRST_STEP_FRACTION = 0.45
 # Points per block when a recording is interpolated, and when a path's
 # velocity and field acceleration are evaluated.  Whole 262,144-sample
-# arrays make every temporary of _q_grad_q 2 MB, out of cache: on them it
+# arrays make every temporary of _q_grad_q_of 2 MB, out of cache: on them it
 # took 51-65 ms, and 32-43 / 24-25 / 23-26 / 23.5 / 40-41 ms in blocks of
 # 2**11 / 2**12 / 2**13 / 2**14 / 2**16 (medians of 11, two tries; 2
 # cores, Python 3.11.7, NumPy 2.4.6).  Every element sees the same

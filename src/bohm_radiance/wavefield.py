@@ -47,14 +47,17 @@ and b p, so that
 
 and v, Q and Q' are evaluated in real arithmetic, with no amplitude that
 could underflow: they are finite for every finite y and t >= 0.  All
-functions are pure and vectorized over y.  A Python float (y, t), the
-right-hand side of a single path, takes the same operations in float
-arithmetic, with cosh, sin, cos and tanh from the same NumPy ufuncs, so
-its bits are those of a one-element array (a test pins this).
+functions are pure and vectorized over y, and the public ones refuse a
+t that is negative, NaN or infinite (``_check_time``).  A Python float
+(y, t), the right-hand side of a single path, takes the same operations
+in float arithmetic, with cosh, sin, cos and tanh from the same NumPy
+ufuncs, so its bits are those of a one-element array (a test pins
+this); v, Q and grad Q then come back as Python floats.
 
-Samples where R falls below a floor (1e-12 of the packet peak scale at
-that t) carry no meaningful phase: a scan flags them singular, valley
-detection skips them, and ``quantum-potential`` writes S as NaN there.
+Samples where R falls below a floor (1e-12 of 2 |N(t)|, the bound on
+|psi| at that t) carry no meaningful phase: a scan flags them singular,
+valley detection skips them, and ``quantum-potential`` writes S as NaN
+there.
 
 A cross-section scan samples a grid exactly symmetric about y = 0.  The
 setup is mirror symmetric, so Q is even in y and grad Q odd: the scan
@@ -208,59 +211,49 @@ def interference_wavenumber(exp: SlitExperiment, consts: PhysicalConstants,
             / (exp.packet_width_cm**2 * (1.0 + b * b)))
 
 
-def de_broglie_wavelength(exp: SlitExperiment,
-                          consts: PhysicalConstants) -> float:
-    """lambda = h/p = 2 pi hbar / (m v_x), in cm."""
-    p = consts.electron_mass * exp.forward_speed_cm_s
-    return 2.0 * math.pi * consts.hbar_ev_s / p
-
-
 def fringe_spacing(exp: SlitExperiment, consts: PhysicalConstants,
                    x_cm: float) -> float:
-    """Far-field fringe spacing lambda_dB * x / (2 Y) at section x, in cm."""
-    return (de_broglie_wavelength(exp, consts) * x_cm
+    """Far-field fringe spacing lambda_dB * x / (2 Y) at section x, in cm,
+    with the de Broglie wavelength lambda_dB = h/p = 2 pi hbar / (m v_x)."""
+    p = consts.electron_mass * exp.forward_speed_cm_s
+    return (2.0 * math.pi * consts.hbar_ev_s / p * x_cm
             / (2.0 * exp.slit_half_separation_cm))
 
 
-def peak_amplitude_scale(exp: SlitExperiment, consts: PhysicalConstants, t):
-    """Upper bound 2 |N(t)| on |psi| at time t (perfect packet overlap)."""
+def r_floor(exp: SlitExperiment, consts: PhysicalConstants, t):
+    """Amplitude at or below which a scan flags a sample singular:
+    R_FLOOR_FRACTION of 2 |N(t)|, the upper bound on |psi| at time t
+    (perfect packet overlap)."""
     b = spreading_parameter(exp, consts, t)
     n_abs = (2.0 * math.pi * exp.packet_width_cm**2) ** -0.25 \
         / (1.0 + b * b) ** 0.25
-    return 2.0 * n_abs
-
-
-def r_floor(exp: SlitExperiment, consts: PhysicalConstants, t):
-    """Amplitude at or below which a scan flags a sample singular."""
-    return R_FLOOR_FRACTION * peak_amplitude_scale(exp, consts, t)
+    return R_FLOOR_FRACTION * (2.0 * n_abs)
 
 
 # ---------------------------------------------------------------------------
 # psi, its polar form, and the quantum potential
 
-def _packet_core(exp: SlitExperiment, consts: PhysicalConstants, t):
-    """Complex width parameter g and prefactor N of one packet at time t.
-
-    G(u, t) = N exp(-g u^2) with g = 1 / (4 sigma0^2 (1 + i b)).
-    """
-    b = spreading_parameter(exp, consts, t)
-    denom = 1.0 + 1j * b
-    g = 1.0 / (4.0 * exp.packet_width_cm**2 * denom)
-    n = (2.0 * math.pi * exp.packet_width_cm**2) ** -0.25 / np.sqrt(denom)
-    return g, n
+def _check_time(t) -> None:
+    """Refuse t unless every element is >= 0 and finite (NaN is not)."""
+    t = np.asarray(t)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ConfigError("t must be >= 0 and finite")
 
 
 def _psi_derivs(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     """[psi] at (y, t), shaped like y.
 
-    The one evaluation of the Gaussian sum, for R, S and the density.  t
-    may be a scalar or an array broadcastable against y.  The list form
-    lets the benchmark's tracer count the points of each call.
+    The one evaluation of the Gaussian sum, for R, S and the density:
+    G(u, t) = N exp(-g u^2) with g = 1 / (4 sigma0^2 (1 + i b)).  t may be
+    a scalar or an array broadcastable against y.  The list form lets the
+    benchmark's tracer count the points of each call.
     """
-    if np.any(np.asarray(t) < 0.0):
-        raise ConfigError("t must be >= 0")
+    _check_time(t)
     y = np.asarray(y, dtype=float)
-    g, n = _packet_core(exp, consts, t)
+    b = spreading_parameter(exp, consts, t)
+    denom = 1.0 + 1j * b
+    g = 1.0 / (4.0 * exp.packet_width_cm**2 * denom)
+    n = (2.0 * math.pi * exp.packet_width_cm**2) ** -0.25 / np.sqrt(denom)
     yy = exp.slit_half_separation_cm
     u1 = y - yy
     u2 = y + yy
@@ -269,10 +262,7 @@ def _psi_derivs(exp: SlitExperiment, consts: PhysicalConstants, y, t):
 
 def psi(exp: SlitExperiment, consts: PhysicalConstants, y, t: float):
     """Un-normalized superposition amplitude at (y, t)."""
-    (p,) = _psi_derivs(exp, consts, y, t)
-    if p.ndim == 0:
-        return complex(p)
-    return p
+    return _psi_derivs(exp, consts, y, t)[0]
 
 
 def _polar(consts: PhysicalConstants, p):
@@ -336,13 +326,6 @@ def _velocity_of(exp: SlitExperiment, consts: PhysicalConstants, args):
         / d)
 
 
-def _q_grad_q(exp: SlitExperiment, consts: PhysicalConstants, y, t):
-    """Q in eV and dQ/dy in eV/cm at (y, t); see ``_q_grad_q_of``."""
-    if np.any(np.asarray(t) < 0.0):
-        raise ConfigError("t must be >= 0")
-    return _q_grad_q_of(exp, consts, _closed_form_args(exp, consts, y, t))
-
-
 def _q_grad_q_of(exp: SlitExperiment, consts: PhysicalConstants, args):
     """Q and dQ/dy by the closed form of the module docstring.
 
@@ -382,26 +365,27 @@ def _velocity_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
     return _velocity_of(exp, consts, args), -gq / consts.electron_mass
 
 
+def _checked_args(exp: SlitExperiment, consts: PhysicalConstants, y, t):
+    """``_closed_form_args`` at (y, t) once t has passed ``_check_time``."""
+    _check_time(t)
+    return _closed_form_args(exp, consts, y, t)
+
+
 def quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                       y, t: float):
     """Q = -(hbar^2/2m) R''/R in eV."""
-    q, _ = _q_grad_q(exp, consts, y, t)
-    return float(q) if np.ndim(q) == 0 else q
+    return _q_grad_q_of(exp, consts, _checked_args(exp, consts, y, t))[0]
 
 
 def grad_quantum_potential(exp: SlitExperiment, consts: PhysicalConstants,
                            y, t: float):
     """dQ/dy in eV/cm."""
-    _, gq = _q_grad_q(exp, consts, y, t)
-    return float(gq) if np.ndim(gq) == 0 else gq
+    return _q_grad_q_of(exp, consts, _checked_args(exp, consts, y, t))[1]
 
 
 def velocity_field(exp: SlitExperiment, consts: PhysicalConstants, y, t):
     """Guidance velocity (1/m) dS/dy = (hbar/m) Im(psi'/psi) in cm/s."""
-    if np.any(np.asarray(t) < 0.0):
-        raise ConfigError("t must be >= 0")
-    v = _velocity_of(exp, consts, _closed_form_args(exp, consts, y, t))
-    return float(v) if np.ndim(v) == 0 else v
+    return _velocity_of(exp, consts, _checked_args(exp, consts, y, t))
 
 
 def bohmian_acceleration(exp: SlitExperiment, consts: PhysicalConstants,
@@ -468,7 +452,8 @@ def _mirrored_q_grad_q(exp: SlitExperiment, consts: PhysicalConstants,
                        y: np.ndarray, t):
     """Q and dQ/dy on a grid exactly symmetric about 0, evaluated on its
     y >= 0 half and mirrored (Q even, grad Q odd)."""
-    q_half, gq_half = _q_grad_q(exp, consts, y[y.size // 2:], t)
+    q_half, gq_half = _q_grad_q_of(
+        exp, consts, _closed_form_args(exp, consts, y[y.size // 2:], t))
     return (np.concatenate((q_half[:0:-1], q_half)),
             np.concatenate((-gq_half[:0:-1], gq_half)))
 
@@ -488,6 +473,9 @@ def cross_section_scan(exp: SlitExperiment, consts: PhysicalConstants,
     if n_samples % 2 == 0:
         raise ConfigError(
             "n_samples must be odd: the grid is symmetric about y = 0")
+    # valley detection reads the grid in ascending order
+    if not 0.0 < y_half_range_cm < math.inf:
+        raise ConfigError("y_half_range_cm must be positive and finite")
     t = exp.section_time_s(x_cm)
     y = symmetric_grid(y_half_range_cm, n_samples)
     p = _psi_derivs(exp, consts, y, t)[0]

@@ -777,21 +777,22 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, payload,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("sub, payload, path", [
+@pytest.mark.parametrize("sub, payload, path, rule", [
     ("simulate-trajectories",
      {"trajectories": {"tol": 1.0}, "ensemble": {"n": 100}},
-     "$.trajectories.tol"),
-    ("quantum-potential", {"scan": {"n_samples": 1000}}, "$.scan.n_samples"),
+     "$.trajectories.tol", "maximum"),
+    ("quantum-potential", {"scan": {"n_samples": 1000}}, "$.scan.n_samples",
+     "odd"),
 ], ids=["tol-of-one", "even-scan-samples"])
 def test_cli_refuses_a_setting_out_of_its_bounds(tmp_path, capsys, sub,
-                                                 payload, path):
+                                                 payload, path, rule):
     # an rtol of 1 bounds no error, and an even scan count would give one
-    # row more than asked for
+    # row more than asked for; the message names the rule
     out = tmp_path / "out"
     assert main([sub, "--config", str(write_config(tmp_path, payload)),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and path in err
+    assert "config error" in err and path in err and rule in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -96,3 +96,14 @@ def test_manifests_differ_in_their_keys(change, keys):
     new = json.loads(json.dumps(MANIFEST))
     change(new)
     assert od.manifest_differences(MANIFEST, new) == keys
+
+
+def test_source_lines_counts_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "bohm_radiance"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("import math\n\nX = 1\n")
+    (package / "b.py").write_text("Y = 2\n")
+    # neither a schema nor a file outside the package is counted
+    (package / "schema.json").write_text("{}\n")
+    (tmp_path / "src" / "setup.py").write_text("Z = 3\n")
+    assert od.source_lines(tmp_path / "src") == 4

@@ -399,6 +399,17 @@ def test_scan_requires_an_odd_sample_count(exp, paper, n_samples, match):
         wf.cross_section_scan(exp, paper, 18.0, 8e-4, n_samples=n_samples)
 
 
+@pytest.mark.parametrize("half_range", [-8e-4, 0.0, math.nan],
+                         ids=["negative", "zero", "nan"])
+def test_scan_refuses_a_half_range_that_is_not_positive_and_finite(
+        exp, paper, half_range):
+    # -8e-4 gave a descending grid, on which the valleys were numbered
+    # inward and valley 1 was missing; 0 and nan gave no valleys and no
+    # error
+    with pytest.raises(ConfigError, match="y_half_range_cm"):
+        wf.cross_section_scan(exp, paper, 18.0, half_range, n_samples=1025)
+
+
 def test_scan_valleys_mirror_pair(scan18):
     plus = {v.index: v for v in scan18.valleys if v.y_min_cm > 0}
     minus = {v.index: v for v in scan18.valleys if v.y_min_cm < 0}
@@ -541,3 +552,27 @@ def test_field_functions_refuse_negative_t(exp, paper, t):
             f(exp, paper, 6e-5, t)
         with pytest.raises(ConfigError, match="t must be >= 0"):
             f(exp, paper, np.array([6e-5, -6e-5]), t)
+
+
+FIELD_FUNCTIONS = (wf.psi, wf.quantum_potential, wf.grad_quantum_potential,
+                   wf.velocity_field, wf.bohmian_acceleration)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1e-12,
+                               np.array([0.0, math.nan])],
+                         ids=["nan", "inf", "negative", "array-with-nan"])
+@pytest.mark.parametrize("f", FIELD_FUNCTIONS,
+                         ids=[f.__name__ for f in FIELD_FUNCTIONS])
+def test_field_functions_refuse_a_time_outside_the_model(exp, paper, f, t):
+    # a NaN or infinite t gave NaN values, not an error
+    with pytest.raises(ConfigError, match="t must be >= 0 and finite"):
+        f(exp, paper, 6e-5, t)
+
+
+def test_float_inputs_give_python_scalars(exp, paper):
+    # the float branch of the closed form stays in Python floats, and psi
+    # gives a NumPy complex128, a complex instance
+    t = exp.section_time_s(18.0)
+    for f in FIELD_FUNCTIONS[1:]:
+        assert type(f(exp, paper, 6e-5, t)) is float
+    assert isinstance(wf.psi(exp, paper, 6e-5, t), complex)
